@@ -426,13 +426,16 @@ void NetServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
     conn->counted_pending = false;
     conns_with_pending_writes_.fetch_sub(1, std::memory_order_relaxed);
   }
+  // Unregister before close: once the fd number is free, accept4 may hand
+  // it to a new connection, whose entry must not be erased in its place.
+  {
+    MutexLock lock(&conns_mu_);
+    auto it = conns_.find(conn->fd);
+    if (it != conns_.end() && it->second == conn) conns_.erase(it);
+  }
   conn->loop->Del(conn->fd);
   (void)::close(conn->fd);
   closed_->Increment();
-  {
-    MutexLock lock(&conns_mu_);
-    conns_.erase(conn->fd);
-  }
 }
 
 size_t NetServer::active_connections() const {

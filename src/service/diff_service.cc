@@ -7,7 +7,6 @@
 #include "core/script_io.h"
 #include "doc/xml.h"
 #include "tree/builder.h"
-#include "util/retry.h"
 
 namespace treediff {
 
@@ -79,7 +78,6 @@ DiffService::DiffService(DiffServiceOptions options)
   match_cache_hits_ = metrics_.counter("diff_match_cache_hits_total");
   match_cache_misses_ = metrics_.counter("diff_match_cache_misses_total");
   chain_log_hits_ = metrics_.counter("diff_chain_log_hits_total");
-  store_retries_ = metrics_.counter("store_retry_total");
   breaker_trips_ = metrics_.counter("store_breaker_trips_total");
   breaker_fast_fails_ = metrics_.counter("store_breaker_fast_fails_total");
   store_repairs_ = metrics_.counter("store_repairs_total");
@@ -200,34 +198,17 @@ Status DiffService::GuardedStoreOp(
     // Cooldown over: fall through and let this request probe (half-open).
   }
 
-  const int attempts = std::max(options_.store_retry_attempts, 1);
-  Status last = Status::Ok();
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      store_retries_->Increment();
-      const double backoff = options_.store_retry_backoff_seconds *
-                             static_cast<double>(1 << (attempt - 1));
-      if (options_.sleep) {
-        options_.sleep(backoff);
-      } else if (backoff > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      }
-    }
-    last = op(entry->store);
-    if (last.ok()) break;
-    if (last.code() == Code::kFailedPrecondition &&
-        entry->store->durable()) {
-      // The store poisoned itself after an I/O failure. Heal it by
-      // rotation and re-run the operation on the fresh log; no
-      // acknowledged commit is lost (the in-memory state is the
-      // acknowledged state). A failed repair falls through to the
-      // transient/permanent classification below.
-      store_repairs_->Increment();
-      const Status repaired = entry->store->Repair();
-      if (repaired.ok()) continue;
-      last = repaired;
-    }
-    if (!IsTransientError(last)) break;
+  // One run. Transient faults were already retried under the store's own
+  // RetryPolicy; re-running here would repeat work the store may have made
+  // durable (a quorum-timed-out commit is on the primary's log).
+  Status last = op(entry->store);
+  if (last.code() == Code::kFailedPrecondition && entry->store->durable()) {
+    // The store poisoned itself after an I/O failure. Heal it by rotation
+    // and re-run the operation once on the fresh log; no acknowledged
+    // commit is lost (the in-memory state is the acknowledged state).
+    store_repairs_->Increment();
+    last = entry->store->Repair();
+    if (last.ok()) last = op(entry->store);
   }
 
   if (last.ok()) {

@@ -114,15 +114,14 @@ struct DiffServiceOptions {
   double default_deadline_seconds = 0.0;
   size_t default_node_cap = 0;
 
-  /// Store resilience. Transient store errors (kUnavailable) are retried up
-  /// to `store_retry_attempts` total tries with doubling backoff starting
-  /// at `store_retry_backoff_seconds`; a poisoned durable store is repaired
-  /// (VersionStore::Repair) and the operation re-run. After
+  /// Store resilience. Transient store errors (kUnavailable) are retried
+  /// only inside the store, under its StoreOptions::retry policy; the
+  /// service runs each store op once. A poisoned durable store is repaired
+  /// (VersionStore::Repair) and the operation re-run once. After
   /// `breaker_failure_threshold` consecutive server-side failures a store's
-  /// circuit breaker opens: its requests fast-fail with kUnavailable for
+  /// circuit breaker opens: a replicated store fails over to a follower,
+  /// any other store's requests fast-fail with kUnavailable for
   /// `breaker_cooldown_seconds` instead of piling onto a sick store.
-  int store_retry_attempts = 3;
-  double store_retry_backoff_seconds = 0.001;
   int breaker_failure_threshold = 3;
   double breaker_cooldown_seconds = 5.0;
 
@@ -148,8 +147,9 @@ struct DiffServiceOptions {
   /// 0 disables the thread. ScrubNow() works either way.
   double scrub_interval_seconds = 0.0;
 
-  /// Replaces the real store-retry backoff sleep (tests pass a no-op);
-  /// null means a real clock wait. The scrubber cadence is not affected.
+  /// Replaces the real retry backoff sleep of the replication groups this
+  /// service creates (tests pass a no-op); null means a real clock wait.
+  /// The scrubber cadence is not affected.
   std::function<void(double seconds)> sleep;
 
   /// Base pipeline options (thresholds, matcher choice, cost model, ...).
@@ -169,11 +169,13 @@ struct DiffServiceOptions {
 /// ladder so they cost less. Counters and latency histograms for every
 /// stage live in the service's MetricsRegistry.
 ///
-/// Attached stores are served through a resilience wrapper: transient
-/// store errors are retried with backoff, a poisoned durable store is
-/// repaired in place (VersionStore::Repair) and the request re-run, and a
-/// per-store circuit breaker (StoreHealth) quarantines a store that keeps
-/// failing so requests fail fast instead of piling onto it. An optional
+/// Attached stores are served through a resilience wrapper. Transient
+/// store errors are retried only by the store's own RetryPolicy; on top of
+/// it the service repairs a poisoned durable store in place
+/// (VersionStore::Repair) and re-runs the request, fails a replicated
+/// store over to a follower, and keeps a per-store circuit breaker
+/// (StoreHealth) that quarantines a store that keeps failing so requests
+/// fail fast instead of piling onto it. An optional
 /// background scrubber re-verifies every durable store's log checksums on
 /// a timer (DiffServiceOptions::scrub_interval_seconds).
 ///
@@ -359,10 +361,11 @@ class DiffService {
   /// shared: lookups on the request path don't serialize behind each other.
   StoreEntry* FindStore(const std::string& doc_id) EXCLUDES(stores_mu_);
 
-  /// Runs `op` against the entry's store under its lock, wrapped in the
-  /// service's resilience policy: breaker fast-fail while quarantined,
-  /// transient-error retry with doubling backoff, automatic Repair of a
-  /// poisoned durable store, and breaker bookkeeping on the final outcome.
+  /// Runs `op` once against the entry's store under its lock, wrapped in
+  /// the service's resilience policy: breaker fast-fail while quarantined,
+  /// automatic Repair (and one re-run) of a poisoned durable store, and
+  /// breaker bookkeeping — failover or quarantine — on the final outcome.
+  /// Transient faults are the store's to retry, not the service's.
   Status GuardedStoreOp(StoreEntry* entry,
                         const std::function<Status(VersionStore*)>& op);
 
@@ -418,7 +421,6 @@ class DiffService {
   Counter* match_cache_hits_ = nullptr;
   Counter* match_cache_misses_ = nullptr;
   Counter* chain_log_hits_ = nullptr;
-  Counter* store_retries_ = nullptr;
   Counter* breaker_trips_ = nullptr;
   Counter* breaker_fast_fails_ = nullptr;
   Counter* store_repairs_ = nullptr;

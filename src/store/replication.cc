@@ -5,6 +5,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "store/codec.h"
@@ -71,6 +72,17 @@ BatchCheck CheckBatch(std::string_view batch, uint64_t base_offset,
   }
   out.valid = true;
   return out;
+}
+
+/// Reads `store`'s rotation count and durable offset from one layout of its
+/// log: a rotation between the two reads would pair an offset with the
+/// wrong layout.
+void ReadDurablePosition(const VersionStore& store, uint64_t* layout,
+                         uint64_t* offset) {
+  do {
+    *layout = store.rotations();
+    *offset = store.DurableOffset();
+  } while (store.rotations() != *layout);
 }
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -195,6 +207,7 @@ StatusOr<int> ReplicatedVersionStore::Commit(const Tree& new_version) {
 StatusOr<int> ReplicatedVersionStore::CommitWithLease(
     const Tree& new_version, const CommitLease& commit_lease) {
   std::shared_ptr<VersionStore> primary;
+  uint64_t layout = 0;
   uint64_t target = 0;
   int version = 0;
   {
@@ -217,59 +230,67 @@ StatusOr<int> ReplicatedVersionStore::CommitWithLease(
     auto committed = primary->Commit(new_version);
     if (!committed.ok()) return committed.status();
     version = *committed;
-    target = primary->DurableOffset();
+    ReadDurablePosition(*primary, &layout, &target);
   }
   ship_cv_.Signal();  // Wake the shipper for the new bytes.
 
   if (options_.ack_mode == AckMode::kLeaderOnly) return version;
 
   // Quorum wait: block until a majority of the non-deposed replica set has
-  // fsynced up to `target`. The primary's own fsync already happened inside
-  // Commit, so it votes immediately. A promotion mid-wait is fine ONLY if
-  // every promotion since our append kept a cursor at or past `target` —
-  // then the record sits inside the byte prefix all streams share and
-  // cursor comparisons stay meaningful. A promotion that cut below
-  // `target` replaced our record's bytes with the new primary's stream;
-  // counting cursors against that stream would ack a commit that no
-  // surviving replica holds, so the wait fails as unacked instead.
+  // fsynced this record. `target` is an offset into one layout of one
+  // primary's log — the primary of `ref_epoch`, rotation `layout` — and a
+  // follower's cursor counts only if it measures that same layout. The
+  // primary's own fsync already happened inside Commit, so it votes
+  // immediately. A promotion mid-wait is fine ONLY if the candidate's log
+  // held the record (see promotion_history_); the new primary opens those
+  // bytes as its layout 0. A rotation rewrites the log from memory, this
+  // commit included, so the wait then re-reads the target in the new
+  // layout.
+  uint64_t ref_epoch = commit_lease.epoch;
   const auto start = std::chrono::steady_clock::now();
   for (;;) {
-    {
-      MutexLock lock(&mu_);
-      if (epoch_ != commit_lease.epoch) {
-        // Every promotion bumps the epoch by one and appends to the
-        // history, so the promotions since our append are exactly the
-        // entries with epoch > commit_lease.epoch — provided none were
-        // evicted (front() must reach back to our epoch + 1).
-        bool survived = !promotion_history_.empty() &&
-                        promotion_history_.front().first <=
-                            commit_lease.epoch + 1;
-        for (const auto& [promo_epoch, promo_cursor] : promotion_history_) {
-          if (promo_epoch > commit_lease.epoch && promo_cursor < target) {
-            survived = false;
-          }
-        }
-        if (!survived) {
-          quorum_timeouts_.fetch_add(1, std::memory_order_relaxed);
-          BumpMetric("replication_quorum_timeouts_total");
-          return Status::Unavailable(
-              "failover during ack wait: commit " + std::to_string(version) +
-              " was never quorum-acked and the promoted follower's log does "
-              "not contain it");
-        }
-      }
-    }
     int votes = 0;
     int voters = 0;
-    for (const auto& state_ptr : states_) {
-      ReplicaState* state = state_ptr.get();
-      MutexLock lock(&state->mu);
-      if (state->role == ReplicaRole::kDeposed) continue;
-      ++voters;
-      if (state->role == ReplicaRole::kPrimary) {
-        if (state->store && state->store->DurableOffset() >= target) ++votes;
-      } else if (state->cursor >= target) {
-        ++votes;
+    {
+      // Held across the vote count: no promotion can re-point followers
+      // between the layout check and the cursor reads.
+      MutexLock lock(&mu_);
+      for (const Promotion& p : promotion_history_) {
+        if (p.epoch <= ref_epoch) continue;
+        if (p.epoch != ref_epoch + 1 || p.from_layout != layout ||
+            p.cursor < target) {
+          break;
+        }
+        ref_epoch = p.epoch;
+        layout = 0;
+      }
+      if (ref_epoch != epoch_) {
+        quorum_timeouts_.fetch_add(1, std::memory_order_relaxed);
+        BumpMetric("replication_quorum_timeouts_total");
+        return Status::Unavailable(
+            "failover during ack wait: commit " + std::to_string(version) +
+            " was never quorum-acked and the promoted follower's log does "
+            "not contain it");
+      }
+      std::shared_ptr<VersionStore> current;
+      {
+        ReplicaState* state =
+            states_[static_cast<size_t>(primary_index_)].get();
+        MutexLock state_lock(&state->mu);
+        current = state->store;
+      }
+      if (current->rotations() != layout) {
+        ReadDurablePosition(*current, &layout, &target);
+      }
+      for (const auto& state_ptr : states_) {
+        ReplicaState* state = state_ptr.get();
+        MutexLock state_lock(&state->mu);
+        if (state->role == ReplicaRole::kDeposed) continue;
+        ++voters;
+        if (state->role == ReplicaRole::kPrimary ||
+            (state->primary_rotations == layout && state->cursor >= target)) {
+          ++votes;
+        }
       }
     }
     const double elapsed = SecondsSince(start);
@@ -319,14 +340,15 @@ Status ReplicatedVersionStore::PumpOne(ReplicaState* state) {
   // A rewritten primary log (rotation: self-heal, scrub repair, salvage)
   // invalidates byte offsets wholesale — the cursor means nothing against
   // the new layout, so the follower recopies from scratch.
-  if (state->primary_rotations != primary->rotations() ||
-      primary->DurableOffset() < state->cursor) {
-    Status st = ResyncLocked(state, primary);
+  uint64_t layout = 0;
+  uint64_t target = 0;
+  ReadDurablePosition(*primary, &layout, &target);
+  if (state->primary_rotations != layout || target < state->cursor) {
+    Status st = ResyncLocked(state, layout);
     if (!st.ok()) return st;
   }
 
   const LogFormat format = primary->log_format();
-  const uint64_t target = primary->DurableOffset();
   if (target <= state->cursor) {
     ObserveMetric("replication_follower_lag_bytes", 0.0);
     return Status::Ok();
@@ -339,6 +361,10 @@ Status ReplicatedVersionStore::PumpOne(ReplicaState* state) {
   if (!batch.ok()) return batch.status();
   if (batch->size() != target - state->cursor) {
     return Status::Unavailable("replication: short read of primary log");
+  }
+  if (primary->rotations() != layout) {
+    // Rotated under the read: the bytes may be the new layout's.
+    return Status::Unavailable("replication: primary log rotated mid-read");
   }
 
   const BatchCheck check = CheckBatch(*batch, state->cursor, format,
@@ -379,8 +405,8 @@ Status ReplicatedVersionStore::PumpOne(ReplicaState* state) {
   return Status::Ok();
 }
 
-Status ReplicatedVersionStore::ResyncLocked(
-    ReplicaState* state, const std::shared_ptr<VersionStore>& primary) {
+Status ReplicatedVersionStore::ResyncLocked(ReplicaState* state,
+                                           uint64_t layout) {
   resyncs_.fetch_add(1, std::memory_order_relaxed);
   BumpMetric("replication_resyncs_total");
   state->out.reset();
@@ -395,7 +421,7 @@ Status ReplicatedVersionStore::ResyncLocked(
   // preserved. Offsets in the old layout no longer mean anything.
   state->fence_epoch = 0;
   state->fence_cursor = 0;
-  state->primary_rotations = primary->rotations();
+  state->primary_rotations = layout;
   state->config.env->DeleteFile(state->config.path).IgnoreError();
   return Status::Ok();
 }
@@ -405,57 +431,36 @@ Status ReplicatedVersionStore::AppendBatchLocked(ReplicaState* state,
   Env* env = state->config.env;
   const std::string& path = state->config.path;
   Retryer retryer(options_.store_options.retry, options_.store_options.sleep);
-  const int attempts = std::max(1, options_.store_options.retry.max_attempts);
-  Status last;
-  for (int k = 0; k < attempts; ++k) {
-    if (k > 0) {
-      const double backoff = retryer.BackoffSeconds(k);
-      if (options_.store_options.sleep) {
-        options_.store_options.sleep(backoff);
-      } else {
-        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      }
-    }
+  return retryer.Run([&]() {
+    state->mu.AssertHeld();  // Run calls back synchronously, under our lock.
     // Repair a torn local tail first: a failed append may have persisted a
     // prefix of the batch, and appending after garbage corrupts everything
     // downstream of it. Truncating back to the cursor restores the
     // last-known-good state.
     if (state->dirty) {
-      last = env->TruncateFile(path, state->cursor);
-      if (!last.ok()) {
-        if (IsTransientError(last)) continue;
-        return last;
-      }
+      TREEDIFF_RETURN_IF_ERROR(env->TruncateFile(path, state->cursor));
       state->dirty = false;
     }
     if (!state->out) {
       auto out = env->NewWritableFile(path, /*truncate=*/state->cursor == 0);
-      if (!out.ok()) {
-        last = out.status();
-        if (IsTransientError(last)) continue;
-        return last;
-      }
+      if (!out.ok()) return out.status();
       state->out = std::move(*out);
     }
-    last = state->out->Append(batch);
-    if (!last.ok()) {
+    Status status = state->out->Append(batch);
+    if (!status.ok()) {
       state->dirty = true;  // A prefix may have landed (torn append).
-      if (IsTransientError(last)) continue;
-      return last;
+      return status;
     }
-    last = state->out->Sync();
-    if (!last.ok()) {
+    status = state->out->Sync();
+    if (!status.ok()) {
       // Never re-issue an fsync over the same bytes and trust the second
       // OK (the fsyncgate lesson, same as the store's rotation policy):
       // discard the suspect suffix and rewrite it through a fresh handle.
       state->dirty = true;
       state->out.reset();
-      if (IsTransientError(last)) continue;
-      return last;
     }
-    return Status::Ok();
-  }
-  return last;
+    return status;
+  });
 }
 
 StatusOr<Tree> ReplicatedVersionStore::Materialize(int v) {
@@ -463,13 +468,16 @@ StatusOr<Tree> ReplicatedVersionStore::Materialize(int v) {
   if (!primary) {
     return Status::FailedPrecondition("replication: group has no primary");
   }
-  const uint64_t durable = primary->DurableOffset();
+  uint64_t layout = 0;
+  uint64_t durable = 0;
+  ReadDurablePosition(*primary, &layout, &durable);
 
   for (const auto& state_ptr : states_) {
     ReplicaState* state = state_ptr.get();
     MutexLock lock(&state->mu);
     if (state->role != ReplicaRole::kFollower) continue;
     if (state->dirty || state->cursor == 0) continue;
+    if (state->primary_rotations != layout) continue;  // Lag unknown.
     if (state->cursor > durable) continue;  // Mid-failover; skip.
     if (durable - state->cursor > options_.max_read_lag_bytes) continue;
     if (!state->reader || state->reader_cursor != state->cursor) {
@@ -511,10 +519,15 @@ StatusOr<int> ReplicatedVersionStore::PromoteInternal(
         std::to_string(epoch_));
   }
 
-  // Pick the most-caught-up follower unless the caller named one. Maximal
-  // cursor is what makes quorum acks durable across the failover: the
-  // longest follower log contains every byte any majority fsynced.
+  // Pick the most-caught-up follower unless the caller named one: the
+  // latest layout, then the longest log in it. That follower's log holds
+  // every record any majority fsynced — a copy of a later layout holds
+  // everything the primary had when it rewrote its log, so everything any
+  // older layout holds. A resync ships the rewritten log as one batch, so
+  // a cursor of 0 is the only partial copy: it holds nothing and ranks
+  // last.
   int candidate = -1;
+  uint64_t candidate_layout = 0;
   uint64_t candidate_cursor = 0;
   if (follower_index >= 0) {
     if (follower_index >= static_cast<int>(states_.size())) {
@@ -529,14 +542,20 @@ StatusOr<int> ReplicatedVersionStore::PromoteInternal(
           ReplicaRoleName(state->role) + ", not a follower");
     }
     candidate = follower_index;
+    candidate_layout = state->primary_rotations;
     candidate_cursor = state->cursor;
   } else {
     for (size_t i = 0; i < states_.size(); ++i) {
       ReplicaState* state = states_[i].get();
       MutexLock state_lock(&state->mu);
       if (state->role != ReplicaRole::kFollower) continue;
-      if (candidate < 0 || state->cursor > candidate_cursor) {
+      const auto rank = [](uint64_t layout, uint64_t cursor) {
+        return std::make_tuple(cursor > 0, layout, cursor);
+      };
+      if (candidate < 0 || rank(state->primary_rotations, state->cursor) >
+                               rank(candidate_layout, candidate_cursor)) {
         candidate = static_cast<int>(i);
+        candidate_layout = state->primary_rotations;
         candidate_cursor = state->cursor;
       }
     }
@@ -579,8 +598,10 @@ StatusOr<int> ReplicatedVersionStore::PromoteInternal(
 
   // Point of no return: depose the old primary and flip the group view.
   ReplicaState* old = states_[static_cast<size_t>(primary_index_)].get();
+  uint64_t old_layout = 0;
   {
     MutexLock old_lock(&old->mu);
+    old_layout = old->store->rotations();
     old->role = ReplicaRole::kDeposed;
     // old->store stays alive: raw pointers handed out while it led remain
     // valid (and poisoned-or-fenced) until Rejoin discards it.
@@ -591,29 +612,32 @@ StatusOr<int> ReplicatedVersionStore::PromoteInternal(
   }
   primary_index_ = candidate;
   epoch_ = new_epoch;
-  promotion_history_.emplace_back(new_epoch, candidate_cursor);
+  promotion_history_.push_back(
+      {new_epoch, old_layout,
+       candidate_layout == old_layout ? candidate_cursor : 0});
   if (promotion_history_.size() > 64) {
     promotion_history_.erase(promotion_history_.begin());
   }
 
-  // Re-point the surviving followers. Their logs are byte prefixes of the
-  // old primary's stream; a follower at or behind the candidate's cursor
-  // is therefore a byte prefix of the new primary's log and keeps its
-  // cursor/chain. A follower *ahead* of the candidate (possible only with
-  // an explicitly named, non-maximal candidate) holds bytes the new
-  // primary replaced with its kEpoch record — it diverged and must resync.
+  // Re-point the surviving followers. A follower on the candidate's layout
+  // at or behind its cursor holds a byte prefix of the candidate's log,
+  // which the new primary opened as its layout 0: it keeps its
+  // cursor/chain. Any other follower — on another layout, or *ahead* of
+  // the candidate (possible only with an explicitly named, non-maximal
+  // candidate) — holds bytes the new primary does not: it must resync.
   for (size_t i = 0; i < states_.size(); ++i) {
     if (static_cast<int>(i) == candidate) continue;
     ReplicaState* state = states_[i].get();
     MutexLock state_lock(&state->mu);
     if (state->role != ReplicaRole::kFollower) continue;
-    if (state->cursor > candidate_cursor) {
-      ResyncLocked(state, new_primary).IgnoreError();
+    if (state->primary_rotations != candidate_layout ||
+        state->cursor > candidate_cursor) {
+      ResyncLocked(state, new_primary->rotations()).IgnoreError();
       continue;
     }
     state->fence_epoch = new_epoch;
     state->fence_cursor = candidate_cursor;
-    state->primary_rotations = new_primary->rotations();
+    state->primary_rotations = 0;
   }
 
   failovers_.fetch_add(1, std::memory_order_relaxed);
@@ -652,7 +676,7 @@ Status ReplicatedVersionStore::Rejoin(int index) {
   // after quorum was lost); resync discards it wholesale.
   state->role = ReplicaRole::kFollower;
   state->store.reset();
-  Status st = ResyncLocked(state, primary);
+  Status st = ResyncLocked(state, primary->rotations());
   if (!st.ok()) return st;
   ship_cv_.Signal();
   return Status::Ok();
@@ -689,7 +713,7 @@ Status ReplicatedVersionStore::Scrub() {
       // it verified and acked. Discard and recopy from the primary.
       divergence_.fetch_add(1, std::memory_order_relaxed);
       BumpMetric("replication_divergence_total");
-      if (primary) ResyncLocked(state, primary).IgnoreError();
+      if (primary) ResyncLocked(state, primary->rotations()).IgnoreError();
     }
   }
   return first;
@@ -697,7 +721,9 @@ Status ReplicatedVersionStore::Scrub() {
 
 std::vector<ReplicaStatus> ReplicatedVersionStore::Replicas() const {
   std::shared_ptr<VersionStore> primary = PrimarySnapshot();
-  const uint64_t durable = primary ? primary->DurableOffset() : 0;
+  uint64_t layout = 0;
+  uint64_t durable = 0;
+  if (primary) ReadDurablePosition(*primary, &layout, &durable);
   std::vector<ReplicaStatus> out;
   out.reserve(states_.size());
   for (size_t i = 0; i < states_.size(); ++i) {
@@ -710,7 +736,10 @@ std::vector<ReplicaStatus> ReplicatedVersionStore::Replicas() const {
     rs.records = state->records;
     rs.chain = state->chain;
     if (state->role == ReplicaRole::kFollower) {
-      rs.lag_bytes = durable > state->cursor ? durable - state->cursor : 0;
+      // A follower on an older layout must recopy the whole log.
+      const uint64_t copied =
+          state->primary_rotations == layout ? state->cursor : 0;
+      rs.lag_bytes = durable > copied ? durable - copied : 0;
       rs.caught_up = rs.lag_bytes == 0;
     } else if (state->role == ReplicaRole::kPrimary) {
       rs.caught_up = true;

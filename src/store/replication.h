@@ -245,7 +245,10 @@ class ReplicatedVersionStore {
     uint32_t chain GUARDED_BY(mu) = 0;   // CRC32C over bytes [0, cursor).
     uint64_t records GUARDED_BY(mu) = 0;
     bool dirty GUARDED_BY(mu) = false;  // Unverified tail past the cursor.
-    uint64_t primary_rotations GUARDED_BY(mu) = 0;  // For rewrite detection.
+    // The layout of the primary's log that `cursor` measures: the
+    // primary's rotations() when the copy started. A rotation rewrites the
+    // log, so a cursor into another layout says nothing about its bytes.
+    uint64_t primary_rotations GUARDED_BY(mu) = 0;
 
     // Epoch fence: records at/after fence_cursor must carry an epoch
     // >= fence_epoch. Offsets before it are accepted history (they
@@ -265,10 +268,9 @@ class ReplicatedVersionStore {
   /// errors leave the cursor unchanged for the next round.
   Status PumpOne(ReplicaState* state) EXCLUDES(state->mu);
 
-  /// Full recopy of the primary log into `state` (rotation, divergence,
-  /// rejoin). Caller holds the state lock.
-  Status ResyncLocked(ReplicaState* state,
-                      const std::shared_ptr<VersionStore>& primary)
+  /// Full recopy of the primary log, in its layout `layout`, into `state`
+  /// (rotation, divergence, rejoin). Caller holds the state lock.
+  Status ResyncLocked(ReplicaState* state, uint64_t layout)
       REQUIRES(state->mu);
 
   /// Appends `batch` to the follower's local log and fsyncs, repairing a
@@ -301,15 +303,20 @@ class ReplicatedVersionStore {
   int primary_index_ GUARDED_BY(mu_) = 0;
   uint64_t epoch_ GUARDED_BY(mu_) = 0;
 
-  /// {epoch, candidate cursor} of recent promotions, newest last. A quorum
-  /// waiter whose commit predates a promotion consults this: if any
-  /// promotion since its epoch cut below the commit's end offset, the
-  /// record no longer exists on the surviving stream and the wait must
-  /// fail rather than count votes against a different byte sequence.
-  /// Bounded (failovers are rare events); a waiter whose epoch has been
-  /// evicted fails conservatively.
-  std::vector<std::pair<uint64_t, uint64_t>> promotion_history_
-      GUARDED_BY(mu_);
+  /// Recent promotions, newest last. A quorum waiter whose commit predates
+  /// one consults this: the record survived only if the candidate's log
+  /// held it, i.e. the candidate copied the layout the waiter's offset is
+  /// measured in and its cursor reached that offset. Otherwise the record
+  /// no longer exists on the surviving stream and the wait must fail
+  /// rather than count votes against a different byte sequence. Bounded
+  /// (failovers are rare events); a waiter whose epoch has been evicted
+  /// fails conservatively.
+  struct Promotion {
+    uint64_t epoch;        // The epoch the promotion started.
+    uint64_t from_layout;  // The deposed primary's rotations() then.
+    uint64_t cursor;       // Candidate's cursor into that layout, or 0.
+  };
+  std::vector<Promotion> promotion_history_ GUARDED_BY(mu_);
 
   /// Fixed at Create; ReplicaState addresses are stable (unique_ptr).
   std::vector<std::unique_ptr<ReplicaState>> states_;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "core/script_io.h"
@@ -152,38 +150,23 @@ Status VersionStore::AppendDurable(LogRecordType type,
   // in-memory state (which the failed record is not yet part of) is written
   // to a fresh log and atomically swapped in, so the retry appends to a
   // tail whose every byte is known good.
-  Retryer backoff(store_options_.retry, store_options_.sleep);
-  const int max_attempts = std::max(store_options_.retry.max_attempts, 1);
-  bool need_rotation = false;
-  Status last;
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (need_rotation) {
-      last = RotateLocked();
-      if (last.ok()) {
-        need_rotation = false;
-        last = AppendOnce(type, payload);
-      }
-    } else {
-      last = AppendOnce(type, payload);
+  Retryer retryer(store_options_.retry, store_options_.sleep);
+  bool retrying = false;
+  const Status last = retryer.Run([&]() {
+    mu_.AssertHeld();  // Run calls back synchronously, under our lock.
+    if (std::exchange(retrying, true)) {
+      TREEDIFF_RETURN_IF_ERROR(RotateLocked());
     }
-    if (last.ok()) return last;
-    if (!IsTransientError(last)) break;
-    need_rotation = true;
-    if (attempt < max_attempts) {
-      ++faults_.transient_retries;
-      BumpCounter("store_retries_total", 1);
-      const double seconds = backoff.BackoffSeconds(attempt);
-      if (store_options_.sleep) {
-        store_options_.sleep(seconds);
-      } else if (seconds > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-      }
-    }
+    return AppendOnce(type, payload);
+  });
+  if (retryer.total_retries() > 0) {
+    faults_.transient_retries += retryer.total_retries();
+    BumpCounter("store_retries_total", retryer.total_retries());
   }
-  // The log tail is now in an unknown state; poison the store so no
+  // On failure the log tail is in an unknown state; poison the store so no
   // further mutation can commit on top of it. Reads stay available, and
   // Repair() or reopening restores service.
-  io_status_ = last;
+  if (!last.ok()) io_status_ = last;
   return last;
 }
 
@@ -961,25 +944,12 @@ StatusOr<VersionStore> VersionStore::Open(const std::string& path,
     // from the recovered state (re-anchoring checkpoints bridge the holes)
     // and quarantine the damaged original — crash-safe because `path` is
     // swapped atomically and the old log stays salvageable until then.
-    // Retried inline (not via Retryer) so the analysis sees the lock held
-    // across RotateLocked.
     MutexLock lock(&store.mu_);
-    Retryer rotate_backoff(store_options.retry, store_options.sleep);
-    const int max_attempts = std::max(store_options.retry.max_attempts, 1);
-    Status st;
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      st = store.RotateLocked();
-      if (st.ok() || !IsTransientError(st)) break;
-      if (attempt < max_attempts) {
-        const double seconds = rotate_backoff.BackoffSeconds(attempt);
-        if (store_options.sleep) {
-          store_options.sleep(seconds);
-        } else if (seconds > 0.0) {
-          std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-        }
-      }
-    }
-    TREEDIFF_RETURN_IF_ERROR(st);
+    Retryer retryer(store_options.retry, store_options.sleep);
+    TREEDIFF_RETURN_IF_ERROR(retryer.Run([&]() {
+      store.mu_.AssertHeld();
+      return store.RotateLocked();
+    }));
     rotated = true;
   } else {
     // Tail-only damage (or none): physically drop the rejected tail so the

@@ -29,6 +29,12 @@ class CAPABILITY("mutex") Mutex {
   void Unlock() RELEASE() { mu_.unlock(); }
   bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
+  /// Tells the analysis the caller holds this mutex, where it cannot see
+  /// that for itself: in a lambda run synchronously under the caller's
+  /// lock (a Retryer::Run op, say). No runtime check — std::mutex has no
+  /// owner query.
+  void AssertHeld() const ASSERT_CAPABILITY(this) {}
+
  private:
   friend class CondVar;
   std::mutex mu_;

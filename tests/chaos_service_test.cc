@@ -112,7 +112,6 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
     DiffServiceOptions options;
     options.num_threads = 3;
     options.sleep = [](double) {};
-    options.store_retry_attempts = 4;
     options.breaker_failure_threshold = 3;
     options.breaker_cooldown_seconds = 0.002;
     DiffService service(options);

@@ -227,9 +227,11 @@ TEST(DiffServiceTest, MetricsAccumulateAcrossRequests) {
   EXPECT_EQ(m.counter("diff_rung_total{rung=\"FastMatch\"}")->Value(), 5u);
   EXPECT_EQ(m.histogram("diff_e2e_seconds")->Count(), 5u);
   EXPECT_EQ(m.histogram("diff_queue_wait_seconds")->Count(), 5u);
-  const std::string text = m.TextExposition();
-  EXPECT_NE(text.find("diff_requests_total 5"), std::string::npos);
-  EXPECT_NE(text.find("tree_cache_hits_total 8"), std::string::npos);
+  const std::string text = m.PrometheusExposition();
+  EXPECT_NE(text.find("# TYPE diff_requests_total counter\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\ndiff_requests_total 5\n"), std::string::npos);
+  EXPECT_NE(text.find("\ntree_cache_hits_total 8\n"), std::string::npos);
 }
 
 TEST(DiffServiceTest, ShutdownDrainsAndAnswersEveryFuture) {

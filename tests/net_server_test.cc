@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -223,6 +224,60 @@ TEST(NetServerTest, ManyConcurrentConnections) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// Waits (bounded) for the server's connection table to reach `want`.
+bool AwaitActiveConnections(const NetServer& server, size_t want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.active_connections() != want) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// The connection table is keyed by fd number, and numbers are reused as
+// soon as they are closed. CloseConnection once erased the entry *after*
+// close(), so a connection accepted onto the freed number in between (on
+// another event loop) lost its entry and was never answered; the
+// multi-loop race itself is what ManyConcurrentConnections hits. This test
+// pins the invariant deterministically on one loop, where every number is
+// reused: a closed connection is unregistered before the next is accepted,
+// and the client and server sockets take the two lowest free numbers,
+// which are the two just freed.
+TEST(NetServerTest, CloseReconnectChurnReusesFds) {
+  NetServerOptions net_options;
+  net_options.num_event_threads = 1;
+  ServerFixture fx(net_options);
+
+  SimpleClient anchor;  // Open across the churn: its entry must survive.
+  ASSERT_TRUE(anchor.Connect("127.0.0.1", fx.server->port()).ok());
+  ASSERT_TRUE(anchor.Ping().ok());
+
+  // Serial churn: each connection is gone server-side before the next.
+  int reused_fd = -1;
+  for (int i = 0; i < 100; ++i) {
+    SimpleClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", fx.server->port()).ok()) << i;
+    if (i == 0) reused_fd = client.fd();
+    EXPECT_EQ(client.fd(), reused_fd) << i;  // The same pair every round.
+    ASSERT_TRUE(client.Ping().ok()) << i;
+    client.Close();
+    ASSERT_TRUE(AwaitActiveConnections(*fx.server, 1)) << i;
+    ASSERT_TRUE(anchor.Ping().ok()) << i;
+  }
+
+  // Burst churn: no wait between a close and the next connect.
+  for (int i = 0; i < 100; ++i) {
+    SimpleClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", fx.server->port()).ok()) << i;
+    ASSERT_TRUE(client.Ping().ok()) << i;
+  }
+  ASSERT_TRUE(anchor.Ping().ok());
+  anchor.Close();
+  EXPECT_TRUE(AwaitActiveConnections(*fx.server, 0))
+      << fx.server->active_connections() << " connections left";
 }
 
 TEST(NetServerTest, ConnectionCapRejectsExtras) {

@@ -484,6 +484,30 @@ TEST(ReplicationTest, PrimaryLogRewriteForcesFollowerResync) {
   ExpectAllVersionsServed(c.group.get(), 4);
 }
 
+// A quorum ack may count only followers whose cursor measures the layout
+// the commit landed in. Checkpoint records make the original log longer
+// than its rewrite, so right after a rotation both followers sit past the
+// next commit's offset, in bytes that do not hold it.
+TEST(ReplicationTest, QuorumAckIgnoresFollowersOnARewrittenLayout) {
+  Cluster c;
+  ReplicationOptions options;
+  options.ack_mode = AckMode::kQuorum;
+  options.store_options.checkpoint_interval = 2;
+  ASSERT_TRUE(c.Build(options).ok());
+  for (int v = 1; v <= 6; ++v) ASSERT_TRUE(c.Commit(v).ok());
+  ASSERT_TRUE(c.PumpUntilCaughtUp());
+  const uint64_t old_cursor = c.group->Replicas()[1].cursor;
+
+  ASSERT_TRUE(c.group->primary()->Repair().ok());  // Rewrites the log.
+  ASSERT_TRUE(c.Commit(7).ok());
+  ASSERT_LT(c.group->primary()->DurableOffset(), old_cursor);
+
+  // The ack promised that a majority holds version 7, so the follower a
+  // failover picks must serve it.
+  ASSERT_TRUE(c.group->Promote().ok());
+  ExpectAllVersionsServed(c.group.get(), 7);
+}
+
 TEST(ReplicationTest, TornFollowerTailsHealByTruncateAndRetry) {
   Cluster c;
   FaultPlan flaky;
@@ -600,7 +624,6 @@ TEST(ReplicationServiceTest, BreakerOpenPromotesFollowerAndResumesTraffic) {
 
   DiffServiceOptions options;
   options.sleep = [](double) {};
-  options.store_retry_attempts = 1;
   options.breaker_failure_threshold = 1;
   DiffService service(options);
   ASSERT_TRUE(service.CreateReplicatedStore("doc", DocText(0), configs).ok());

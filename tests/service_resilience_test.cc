@@ -1,5 +1,6 @@
-// DiffService resilience around attached stores: transient-error retry,
-// automatic Repair of a poisoned store, the per-store circuit breaker
+// DiffService resilience around attached stores: transient faults retried
+// by the store alone, never re-run by the service; automatic Repair of a
+// poisoned store, the per-store circuit breaker
 // (degraded -> quarantined -> half-open probe -> healthy), and scrubbing
 // through the service.
 
@@ -39,7 +40,7 @@ StoreOptions QuietStoreOptions(Env* env) {
 DiffServiceOptions QuietServiceOptions() {
   DiffServiceOptions options;
   options.num_threads = 2;
-  options.sleep = [](double) {};  // No real store-retry waits in tests.
+  options.sleep = [](double) {};  // No real retry waits in tests.
   return options;
 }
 
@@ -54,10 +55,10 @@ TEST(ServiceResilienceTest, TransientStoreFaultsAreRetriedBehindTheApi) {
   plan.transient_append_p = 0.15;
   FaultInjectingEnv env(&mem, plan);
 
-  // Give the store itself no retry budget so every transient fault
-  // surfaces to the service as kUnavailable — the layer under test here.
+  // The store's own RetryPolicy absorbs every transient fault (each retry
+  // rotates onto a fresh log first); the service runs each op once and
+  // never sees them.
   StoreOptions store_options = QuietStoreOptions(&env);
-  store_options.retry.max_attempts = 1;
   StatusOr<VersionStore> store = Status::Internal("never tried");
   for (int i = 0; i < 64 && !store.ok(); ++i) {
     store = VersionStore::Create("svc.log", *ParseSexpr(DocText(0)), {},
@@ -65,9 +66,7 @@ TEST(ServiceResilienceTest, TransientStoreFaultsAreRetriedBehindTheApi) {
   }
   ASSERT_TRUE(store.ok()) << store.status().ToString();
 
-  DiffServiceOptions options = QuietServiceOptions();
-  options.store_retry_attempts = 6;
-  DiffService service(options);
+  DiffService service(QuietServiceOptions());
   ASSERT_TRUE(service.AttachStore("doc", &*store).ok());
 
   for (int v = 1; v <= 8; ++v) {
@@ -77,14 +76,48 @@ TEST(ServiceResilienceTest, TransientStoreFaultsAreRetriedBehindTheApi) {
     EXPECT_EQ(*version, v);
   }
   EXPECT_GT(env.transient_faults(), 0u);
-  EXPECT_GT(CounterValue(&service, "store_retry_total"), 0u);
 
   std::vector<DiffService::StoreStatus> statuses = service.StoreStatuses();
   ASSERT_EQ(statuses.size(), 1u);
+  EXPECT_GT(statuses[0].faults.transient_retries, 0u);
   EXPECT_EQ(statuses[0].health, StoreHealth::kHealthy);
   EXPECT_EQ(statuses[0].consecutive_failures, 0);
   EXPECT_EQ(statuses[0].versions, 9);
   EXPECT_TRUE(statuses[0].durable);
+  service.Shutdown();
+}
+
+// A kQuorum commit whose followers cannot fsync times out only after the
+// primary's durable append, and reports kUnavailable. The service must not
+// re-run it: every re-run would store the same document as a new version.
+TEST(ServiceResilienceTest, QuorumTimeoutCommitIsStoredOnce) {
+  MemEnv mems[3];
+  FaultPlan no_sync;
+  no_sync.fail_sync_at = 1;
+  FaultInjectingEnv follower1(&mems[1], no_sync);
+  FaultInjectingEnv follower2(&mems[2], no_sync);
+  std::vector<ReplicaConfig> configs = {
+      {&mems[0], "r0.log"}, {&follower1, "r1.log"}, {&follower2, "r2.log"}};
+
+  ReplicationOptions repl;
+  repl.ack_mode = AckMode::kQuorum;
+  repl.ack_timeout_seconds = 0.05;
+  repl.store_options.sleep = [](double) {};
+  auto group = ReplicatedVersionStore::Create(
+      configs, *ParseSexpr(DocText(0)), {}, repl);
+  ASSERT_TRUE(group.ok()) << group.status().ToString();
+
+  DiffService service(QuietServiceOptions());
+  ASSERT_TRUE(service.AttachReplicatedStore("doc", std::move(*group)).ok());
+
+  StatusOr<int> version = service.CommitVersion("doc", DocText(1));
+  ASSERT_FALSE(version.ok());
+  EXPECT_EQ(version.status().code(), Code::kUnavailable)
+      << version.status().ToString();
+
+  std::vector<DiffService::StoreStatus> statuses = service.StoreStatuses();
+  ASSERT_EQ(statuses.size(), 1u);
+  EXPECT_EQ(statuses[0].versions, 2);  // The base and one commit.
   service.Shutdown();
 }
 
@@ -98,7 +131,6 @@ TEST(ServiceResilienceTest, BreakerTripsFastFailsAndRecoversViaRepair) {
   ASSERT_TRUE(store.ok()) << store.status().ToString();
 
   DiffServiceOptions options = QuietServiceOptions();
-  options.store_retry_attempts = 2;
   options.breaker_failure_threshold = 2;
   options.breaker_cooldown_seconds = 0.05;
   DiffService service(options);

@@ -35,13 +35,13 @@
 //                                       (replicated stores add a REPL line:
 //                                       role, epoch, per-follower lag),
 //                                       terminated by "."
-//   METRICS                             dump the metrics registry
+//   METRICS                             the metrics registry as
+//                                       Prometheus text, terminated by "."
 //   QUIT                                exit (EOF works too)
 //
 // OPENR and STATUS are line-only: replicated-store setup and health
 // inspection are operator actions, not request traffic. (The TCP surface
-// exposes metrics at GET /metrics in Prometheus text format instead of the
-// METRICS dump.)
+// serves the same Prometheus text at GET /metrics.)
 //
 // <format> is "sexpr" or "xml". Responses:
 //
@@ -373,9 +373,8 @@ int main(int argc, char** argv) {
     }
 
     if (cmd == "METRICS") {
-      // Line-only legacy dump; the TCP surface serves Prometheus text at
-      // GET /metrics instead.
-      std::cout << service.metrics().TextExposition() << ".\n";
+      // The same Prometheus text GET /metrics serves on the TCP surface.
+      std::cout << service.metrics().PrometheusExposition() << ".\n";
       std::cout.flush();
       continue;
     }

@@ -1,7 +1,9 @@
 #include "net/frontend.h"
 
 #include <memory>
+#include <sstream>
 #include <utility>
+#include <vector>
 
 namespace treediff {
 namespace net {
@@ -81,6 +83,8 @@ void Frontend::Execute(WireRequest request, Done done) {
     case Opcode::kOpen:
     case Opcode::kCommit:
     case Opcode::kMetrics:
+    case Opcode::kStatus:
+    case Opcode::kOpenReplicated:
       ExecuteControl(std::move(request), std::move(done));
       return;
   }
@@ -95,55 +99,104 @@ void Frontend::ExecuteControl(WireRequest req, Done done_fn) {
   auto state = std::make_shared<std::pair<WireRequest, Done>>(
       std::move(req), std::move(done_fn));
   auto task = [this, state]() {
-    WireRequest& request = state->first;
-    Done& done = state->second;
+    const WireRequest& request = state->first;
+    WireResponse response;
+    response.opcode = request.opcode;
+    response.request_id = request.request_id;
+    Status status = Status::Ok();
     switch (request.opcode) {
-      case Opcode::kOpen: {
-        const Status status = service_->CreateStore(
-            request.doc_id, request.old_doc, ToFormat(request.format));
-        if (!status.ok()) {
-          done(ErrorResponse(request, status));
-          return;
-        }
-        WireResponse response;
-        response.opcode = Opcode::kOpen;
-        response.request_id = request.request_id;
-        done(std::move(response));
-        return;
-      }
+      case Opcode::kOpen:
+        status = service_->CreateStore(request.doc_id, request.old_doc,
+                                       ToFormat(request.format));
+        break;
+      case Opcode::kOpenReplicated:
+        status = OpenReplicated(request);
+        break;
       case Opcode::kCommit: {
         const StatusOr<int> version = service_->CommitVersion(
             request.doc_id, request.old_doc, ToFormat(request.format));
-        if (!version.ok()) {
-          done(ErrorResponse(request, version.status()));
-          return;
-        }
-        WireResponse response;
-        response.opcode = Opcode::kCommit;
-        response.request_id = request.request_id;
-        response.value = static_cast<uint32_t>(*version);
-        done(std::move(response));
-        return;
+        status = version.status();
+        if (version.ok()) response.value = static_cast<uint32_t>(*version);
+        break;
       }
-      case Opcode::kMetrics: {
-        WireResponse response;
-        response.opcode = Opcode::kMetrics;
-        response.request_id = request.request_id;
+      case Opcode::kMetrics:
         response.payload = service_->metrics().PrometheusExposition();
-        done(std::move(response));
-        return;
-      }
+        break;
+      case Opcode::kStatus:
+        response.payload = StatusText();
+        break;
       default:
-        done(ErrorResponse(request,
-                           Status::Internal("bad control opcode")));
-        return;
+        status = Status::Internal("bad control opcode");
+        break;
     }
+    state->second(status.ok() ? std::move(response)
+                              : ErrorResponse(request, status));
   };
   if (!control_pool_->TrySubmit(std::move(task))) {
     (state->second)(ErrorResponse(
         state->first,
         Status::ResourceExhausted("control queue full: request shed")));
   }
+}
+
+Status Frontend::OpenReplicated(const WireRequest& request) {
+  // The doc id becomes a file name under store_dir_: accept exactly one
+  // path component, and check everything before any file is touched.
+  const std::string& id = request.doc_id;
+  if (id.empty() || id.size() > kMaxReplicatedDocIdLen || id == "." ||
+      id == ".." || id.find('/') != std::string::npos ||
+      id.find('\0') != std::string::npos) {
+    return Status::InvalidArgument(
+        "doc id must be one path component: 1.." +
+        std::to_string(kMaxReplicatedDocIdLen) +
+        " bytes, no '/' or NUL, not \".\" or \"..\"");
+  }
+  if (request.replicas < 1 || request.replicas > kMaxReplicas) {
+    return Status::InvalidArgument(
+        "replica count " + std::to_string(request.replicas) + " outside 1.." +
+        std::to_string(kMaxReplicas));
+  }
+  if (store_dir_.empty()) {
+    return Status::FailedPrecondition(
+        "no store dir configured: replicated stores are disabled");
+  }
+  std::vector<ReplicaConfig> configs(static_cast<size_t>(request.replicas));
+  for (size_t r = 0; r < configs.size(); ++r) {
+    configs[r].path = store_dir_ + "/" + id + ".r" + std::to_string(r) + ".log";
+  }
+  return service_->CreateReplicatedStore(id, request.old_doc,
+                                         std::move(configs),
+                                         AckMode::kLeaderOnly,
+                                         ToFormat(request.format));
+}
+
+std::string Frontend::StatusText() {
+  MetricsRegistry& m = service_->metrics();
+  std::ostringstream out;
+  out << "PRUNE subtrees=" << m.counter("diff_prune_subtrees_total")->Value()
+      << " nodes=" << m.counter("diff_prune_nodes_total")->Value()
+      << " collisions=" << m.counter("diff_prune_collisions_total")->Value()
+      << " mcache_hits=" << m.counter("diff_match_cache_hits_total")->Value()
+      << " chain_hits=" << m.counter("diff_chain_log_hits_total")->Value()
+      << "\n";
+  for (const DiffService::StoreStatus& s : service_->StoreStatuses()) {
+    out << "store=" << s.doc_id << " versions=" << s.versions
+        << " durable=" << (s.durable ? 1 : 0)
+        << " health=" << StoreHealthName(s.health)
+        << " failures=" << s.consecutive_failures
+        << " retries=" << s.faults.transient_retries
+        << " rotations=" << s.faults.rotations
+        << " scrubs=" << s.faults.scrubs << "\n";
+    if (!s.replicated) continue;
+    out << "REPL doc=" << s.doc_id << " epoch=" << s.repl_epoch
+        << " primary=" << s.repl_primary;
+    for (const ReplicaStatus& r : s.replicas) {
+      out << " r" << r.index << "=" << ReplicaRoleName(r.role)
+          << ":lag=" << r.lag_bytes;
+    }
+    out << "\n";
+  }
+  return out.str();
 }
 
 }  // namespace net

@@ -63,7 +63,8 @@ NetServer::NetServer(DiffService* service, NetServerOptions options)
           std::max<size_t>(options_.control_queue, 1)}) {
   scheduler_ = std::make_unique<TenantScheduler>(options_.admission,
                                                  &service_->metrics());
-  frontend_ = std::make_unique<Frontend>(service_, &control_pool_);
+  frontend_ = std::make_unique<Frontend>(service_, &control_pool_,
+                                         options_.store_dir);
 
   MetricsRegistry& m = service_->metrics();
   accepted_ = m.counter("net_connections_accepted_total");

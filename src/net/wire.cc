@@ -97,7 +97,7 @@ Status Malformed(const std::string& what) {
 
 bool ValidOpcode(uint8_t op) {
   return op >= static_cast<uint8_t>(Opcode::kPing) &&
-         op <= static_cast<uint8_t>(Opcode::kMetrics);
+         op <= static_cast<uint8_t>(Opcode::kOpenReplicated);
 }
 
 void AppendRequest(const WireRequest& request, std::string* out) {
@@ -118,6 +118,7 @@ void AppendRequest(const WireRequest& request, std::string* out) {
   switch (request.opcode) {
     case Opcode::kPing:
     case Opcode::kMetrics:
+    case Opcode::kStatus:
       break;
     case Opcode::kDiff:
       PutU32(out, static_cast<uint32_t>(request.old_doc.size()));
@@ -133,8 +134,12 @@ void AppendRequest(const WireRequest& request, std::string* out) {
       break;
     case Opcode::kOpen:
     case Opcode::kCommit:
+    case Opcode::kOpenReplicated:
       PutU32(out, static_cast<uint32_t>(request.doc_id.size()));
       PutU32(out, static_cast<uint32_t>(request.old_doc.size()));
+      if (request.opcode == Opcode::kOpenReplicated) {
+        PutI32(out, request.replicas);
+      }
       out->append(request.doc_id);
       out->append(request.old_doc);
       break;
@@ -268,6 +273,7 @@ DecodeResult FrameDecoder::NextRequest(WireRequest* out, Status* error) {
   switch (out->opcode) {
     case Opcode::kPing:
     case Opcode::kMetrics:
+    case Opcode::kStatus:
       break;
     case Opcode::kDiff: {
       uint32_t old_len = 0;
@@ -293,10 +299,13 @@ DecodeResult FrameDecoder::NextRequest(WireRequest* out, Status* error) {
       break;
     }
     case Opcode::kOpen:
-    case Opcode::kCommit: {
+    case Opcode::kCommit:
+    case Opcode::kOpenReplicated: {
       uint32_t id_len = 0;
       uint32_t doc_len = 0;
       if (!r.ReadU32(&id_len) || !r.ReadU32(&doc_len) ||
+          (out->opcode == Opcode::kOpenReplicated &&
+           !r.ReadI32(&out->replicas)) ||
           id_len > r.remaining() || doc_len > r.remaining() - id_len ||
           !r.ReadBytes(id_len, &out->doc_id) ||
           !r.ReadBytes(doc_len, &out->old_doc)) {

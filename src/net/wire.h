@@ -30,10 +30,12 @@ namespace net {
 ///   ... tenant_len bytes of tenant id
 ///   ... opcode-specific body:
 ///
-///   kPing / kMetrics   (empty)
+///   kPing / kMetrics / kStatus   (empty)
 ///   kDiff              u32 old_len | u32 new_len | old bytes | new bytes
 ///   kVdiff             u32 id_len | i32 from | i32 to | id bytes
 ///   kOpen / kCommit    u32 id_len | u32 doc_len | id bytes | doc bytes
+///   kOpenReplicated    u32 id_len | u32 doc_len | i32 replicas | id bytes |
+///                      doc bytes
 ///
 /// Response payload:
 ///
@@ -46,7 +48,8 @@ namespace net {
 ///   u32 aux          diff: share-map pruned subtrees; else 0
 ///   u32 payload_len  bytes following
 ///   ... payload      edit script text (OK diff), error message (non-OK),
-///                    metrics text (kMetrics), else empty
+///                    metrics text (kMetrics), status text (kStatus), else
+///                    empty
 ///
 /// Framing errors are two-tier. A frame whose *outer* length field is
 /// absurd (zero, or beyond the decoder's max) means the stream can no
@@ -62,6 +65,8 @@ enum class Opcode : uint8_t {
   kOpen = 4,     // Create an in-memory version store.
   kCommit = 5,   // Commit the next version of a store.
   kMetrics = 6,  // Prometheus text exposition of the server registry.
+  kStatus = 7,   // Per-store health and replication view, as text.
+  kOpenReplicated = 8,  // Create a replicated store under the store dir.
 };
 
 /// True for a byte that names a real opcode.
@@ -102,11 +107,13 @@ struct WireRequest {
   uint32_t deadline_ms = 0;
   std::string tenant;
 
-  std::string doc_id;   // kVdiff / kOpen / kCommit.
-  std::string old_doc;  // kDiff old document; kOpen/kCommit document.
+  std::string doc_id;   // kVdiff / kOpen / kCommit / kOpenReplicated.
+  std::string old_doc;  // kDiff old document; kOpen/kCommit/kOpenReplicated
+                        // document.
   std::string new_doc;  // kDiff new document.
   int32_t from_version = -1;  // kVdiff.
   int32_t to_version = -1;    // kVdiff.
+  int32_t replicas = 0;       // kOpenReplicated.
 };
 
 /// One decoded response frame.

@@ -55,63 +55,97 @@ TEST(NetFuzzTest, RandomByteSoupNeverCrashes) {
   }
 }
 
+/// One valid request frame per opcode: the seeds the truncation and
+/// bit-flip sweeps mutate.
+std::vector<WireRequest> ValidFrames() {
+  std::vector<WireRequest> frames;
+  for (uint8_t op = 0; op < 0xFF; ++op) {
+    if (!ValidOpcode(op)) continue;
+    WireRequest request;
+    request.opcode = static_cast<Opcode>(op);
+    request.tenant = "fuzz";
+    request.request_id = op;
+    switch (request.opcode) {
+      case Opcode::kDiff:
+        request.old_doc = std::string(300, 'x');
+        request.new_doc = std::string(300, 'y');
+        break;
+      case Opcode::kVdiff:
+        request.doc_id = "some-document-id";
+        request.from_version = 1;
+        request.to_version = 2;
+        break;
+      case Opcode::kOpen:
+      case Opcode::kCommit:
+      case Opcode::kOpenReplicated:
+        request.doc_id = "some-document-id";
+        request.old_doc = "(D (P (S \"fuzz\")))";
+        request.replicas = 3;
+        break;
+      default:
+        break;
+    }
+    frames.push_back(std::move(request));
+  }
+  return frames;
+}
+
 TEST(NetFuzzTest, TruncatedValidFramesNeverCrash) {
-  Rng rng(7);
-  WireRequest request;
-  request.opcode = Opcode::kDiff;
-  request.tenant = "tenant";
-  request.old_doc = std::string(300, 'x');
-  request.new_doc = std::string(300, 'y');
-  const std::string full = EncodeRequest(request);
-  for (size_t cut = 0; cut < full.size(); cut += 7) {
-    FrameDecoder decoder;
-    const std::string prefix = full.substr(0, cut);
-    decoder.Append(prefix.data(), prefix.size());
-    WireRequest out;
-    Status error = Status::Ok();
-    EXPECT_EQ(decoder.NextRequest(&out, &error), DecodeResult::kNeedMore);
-    // Completing the frame later must still decode it.
-    const std::string rest = full.substr(cut);
-    decoder.Append(rest.data(), rest.size());
-    EXPECT_EQ(decoder.NextRequest(&out, &error), DecodeResult::kFrame);
-    EXPECT_EQ(out.old_doc, request.old_doc);
-    (void)rng;
+  const std::vector<WireRequest> frames = ValidFrames();
+  ASSERT_EQ(frames.size(), 8u);  // Every opcode has a seed.
+  for (const WireRequest& request : frames) {
+    SCOPED_TRACE("opcode " + std::to_string(request.request_id));
+    const std::string full = EncodeRequest(request);
+    for (size_t cut = 0; cut < full.size(); cut += 7) {
+      FrameDecoder decoder;
+      const std::string prefix = full.substr(0, cut);
+      decoder.Append(prefix.data(), prefix.size());
+      WireRequest out;
+      Status error = Status::Ok();
+      EXPECT_EQ(decoder.NextRequest(&out, &error), DecodeResult::kNeedMore);
+      // Completing the frame later must still decode it.
+      const std::string rest = full.substr(cut);
+      decoder.Append(rest.data(), rest.size());
+      EXPECT_EQ(decoder.NextRequest(&out, &error), DecodeResult::kFrame);
+      EXPECT_EQ(out.opcode, request.opcode);
+      EXPECT_EQ(out.doc_id, request.doc_id);
+      EXPECT_EQ(out.old_doc, request.old_doc);
+      EXPECT_EQ(out.replicas,
+                request.opcode == Opcode::kOpenReplicated ? 3 : 0);
+    }
   }
 }
 
 TEST(NetFuzzTest, BitFlippedValidFramesNeverCrashOrDesync) {
   Rng rng(31337);
-  WireRequest request;
-  request.opcode = Opcode::kVdiff;
-  request.tenant = "fuzz";
-  request.doc_id = "some-document-id";
-  request.from_version = 1;
-  request.to_version = 2;
-  const std::string clean = EncodeRequest(request);
-
-  for (int iter = 0; iter < 400; ++iter) {
-    std::string bytes = clean;
-    // Flip 1–4 random bits in the PAYLOAD. (Length-prefix corruption is a
-    // different contract — it desyncs the stream by design and is covered
-    // by HostileLengthsNeverAllocate; with the outer length intact, a bad
-    // frame must be consumed exactly and the stream must stay in sync.)
-    const int flips = 1 + static_cast<int>(rng.Uniform(4));
-    for (int f = 0; f < flips; ++f) {
-      const size_t pos =
-          kLenPrefixBytes + rng.Uniform(bytes.size() - kLenPrefixBytes);
-      bytes[pos] = static_cast<char>(
-          static_cast<unsigned char>(bytes[pos]) ^ (1u << rng.Uniform(8)));
-    }
-    FrameDecoder decoder(kSmallMax);
-    decoder.Append(bytes.data(), bytes.size());
-    WireRequest out;
-    Status error = Status::Ok();
-    const DecodeResult r = decoder.NextRequest(&out, &error);
-    ASSERT_LE(decoder.buffered_bytes(), bytes.size());
-    if (r == DecodeResult::kBadFrame) {
-      // Consumed per-frame: a healthy frame appended after must decode.
-      decoder.Append(clean.data(), clean.size());
-      EXPECT_EQ(decoder.NextRequest(&out, &error), DecodeResult::kFrame);
+  for (const WireRequest& request : ValidFrames()) {
+    SCOPED_TRACE("opcode " + std::to_string(request.request_id));
+    const std::string clean = EncodeRequest(request);
+    for (int iter = 0; iter < 400; ++iter) {
+      std::string bytes = clean;
+      // Flip 1–4 random bits in the PAYLOAD. (Length-prefix corruption is
+      // a different contract — it desyncs the stream by design and is
+      // covered by HostileLengthsNeverAllocate; with the outer length
+      // intact, a bad frame must be consumed exactly and the stream must
+      // stay in sync.)
+      const int flips = 1 + static_cast<int>(rng.Uniform(4));
+      for (int f = 0; f < flips; ++f) {
+        const size_t pos =
+            kLenPrefixBytes + rng.Uniform(bytes.size() - kLenPrefixBytes);
+        bytes[pos] = static_cast<char>(
+            static_cast<unsigned char>(bytes[pos]) ^ (1u << rng.Uniform(8)));
+      }
+      FrameDecoder decoder(kSmallMax);
+      decoder.Append(bytes.data(), bytes.size());
+      WireRequest out;
+      Status error = Status::Ok();
+      const DecodeResult r = decoder.NextRequest(&out, &error);
+      ASSERT_LE(decoder.buffered_bytes(), bytes.size());
+      if (r == DecodeResult::kBadFrame) {
+        // Consumed per-frame: a healthy frame appended after must decode.
+        decoder.Append(clean.data(), clean.size());
+        EXPECT_EQ(decoder.NextRequest(&out, &error), DecodeResult::kFrame);
+      }
     }
   }
 }

@@ -1,15 +1,20 @@
 // End-to-end tests of the epoll network front end: request/response over
 // real loopback sockets, byte-identity with the direct DiffService::Submit
 // path, pipelining with out-of-order completion, per-frame error handling
-// vs fatal framing errors, connection fan-in, and the graceful-shutdown
-// regression (no accepted request is dropped without an error response).
+// vs fatal framing errors, connection fan-in, the graceful-shutdown
+// regression (no accepted request is dropped without an error response),
+// and the replicated-store and status opcodes (including the checks that
+// keep a network client's doc id inside the server's store dir).
 
 #include "net/server.h"
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -55,6 +60,30 @@ struct ServerFixture {
   std::unique_ptr<DiffService> service;
   std::unique_ptr<NetServer> server;
 };
+
+/// A fresh directory under the gtest temp dir, removed on destruction.
+struct TempDir {
+  TempDir() {
+    std::string pattern = ::testing::TempDir() + "net_server_XXXXXX";
+    path = mkdtemp(pattern.data()) != nullptr ? pattern : "";
+    EXPECT_FALSE(path.empty());
+  }
+  ~TempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path, ignored);
+  }
+  std::string path;
+};
+
+WireRequest OpenReplicatedRequest(const std::string& doc_id, int replicas,
+                                  const std::string& doc) {
+  WireRequest request;
+  request.opcode = Opcode::kOpenReplicated;
+  request.doc_id = doc_id;
+  request.replicas = replicas;
+  request.old_doc = doc;
+  return request;
+}
 
 TEST(NetServerTest, PingAndDiff) {
   ServerFixture fx;
@@ -127,6 +156,129 @@ TEST(NetServerTest, OpenCommitVdiffAndMetricsOpcodes) {
   ASSERT_TRUE(client.Metrics(&text).ok());
   EXPECT_NE(text.find("net_frames_total"), std::string::npos);
   EXPECT_NE(text.find("# TYPE"), std::string::npos);
+}
+
+TEST(NetServerTest, OpenReplicatedVdiffByteIdenticalToDirectSubmit) {
+  // The reference service builds the same 3-replica group through the
+  // direct API; both then commit the same two versions, and the wire's
+  // version diff 0 -> 2 must carry exactly the bytes SubmitSync returns.
+  TempDir reference_dir;
+  DiffService reference(DiffServiceOptions{});
+  PreInternLabels(*reference.label_table());
+  std::vector<ReplicaConfig> configs(3);
+  for (size_t r = 0; r < configs.size(); ++r) {
+    configs[r].path =
+        reference_dir.path + "/doc.r" + std::to_string(r) + ".log";
+  }
+  ASSERT_TRUE(reference
+                  .CreateReplicatedStore("doc", OldDoc(0), std::move(configs),
+                                         AckMode::kLeaderOnly)
+                  .ok());
+  ASSERT_TRUE(reference.CommitVersion("doc", NewDoc(0)).ok());
+  ASSERT_TRUE(reference.CommitVersion("doc", NewDoc(1)).ok());
+  DiffRequest direct;
+  direct.doc_id = "doc";
+  direct.from_version = 0;
+  direct.to_version = 2;
+  const DiffResponse expected = reference.SubmitSync(std::move(direct));
+  ASSERT_TRUE(expected.status.ok()) << expected.status.ToString();
+
+  TempDir store_dir;
+  NetServerOptions net_options;
+  net_options.store_dir = store_dir.path;
+  ServerFixture fx(net_options);
+  SimpleClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", fx.server->port()).ok());
+
+  WireResponse response;
+  ASSERT_TRUE(
+      client.Call(OpenReplicatedRequest("doc", 3, OldDoc(0)), &response).ok());
+  ASSERT_TRUE(response.ok()) << response.payload;
+  ASSERT_TRUE(client.Commit("doc", NewDoc(0), kFormatSexpr, &response).ok());
+  ASSERT_TRUE(response.ok()) << response.payload;
+  EXPECT_EQ(response.value, 1u);
+  ASSERT_TRUE(client.Commit("doc", NewDoc(1), kFormatSexpr, &response).ok());
+  ASSERT_TRUE(response.ok()) << response.payload;
+  EXPECT_EQ(response.value, 2u);
+  // The primary's log is written before the open is answered; follower
+  // logs appear when the background shipper first reaches them.
+  EXPECT_TRUE(std::filesystem::exists(store_dir.path + "/doc.r0.log"));
+
+  ASSERT_TRUE(client.Vdiff("doc", 0, 2, &response).ok());
+  ASSERT_TRUE(response.ok()) << response.payload;
+  EXPECT_EQ(response.payload, expected.script);
+  EXPECT_EQ(response.value, static_cast<uint32_t>(expected.operations));
+  EXPECT_EQ(response.rung, static_cast<uint8_t>(expected.rung));
+
+  WireRequest status;
+  status.opcode = Opcode::kStatus;
+  ASSERT_TRUE(client.Call(status, &response).ok());
+  ASSERT_TRUE(response.ok()) << response.payload;
+  EXPECT_EQ(response.opcode, Opcode::kStatus);
+  EXPECT_NE(response.payload.find("PRUNE subtrees="), std::string::npos)
+      << response.payload;
+  EXPECT_NE(response.payload.find("store=doc versions=3 durable=1"),
+            std::string::npos)
+      << response.payload;
+  EXPECT_NE(response.payload.find("REPL doc=doc epoch="), std::string::npos)
+      << response.payload;
+}
+
+TEST(NetServerTest, OpenReplicatedRejectsUnsafeRequestsBeforeTouchingFiles) {
+  // The store dir sits alone inside its own temp dir, so a path that
+  // escaped it ("../x") would show up as a sibling.
+  TempDir parent;
+  const std::string store_dir = parent.path + "/store";
+  ASSERT_TRUE(std::filesystem::create_directory(store_dir));
+  NetServerOptions net_options;
+  net_options.store_dir = store_dir;
+  ServerFixture fx(net_options);
+  SimpleClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", fx.server->port()).ok());
+
+  const struct {
+    std::string doc_id;
+    int replicas;
+  } kBad[] = {{"../x", 3}, {"a/b", 3}, {"", 3}, {"..", 3},
+              {".", 3},    {std::string("a\0b", 3), 3},
+              {std::string(kMaxReplicatedDocIdLen + 1, 'a'), 3},
+              {"ok", 0},   {"ok", -1}, {"ok", kMaxReplicas + 1}};
+  for (const auto& bad : kBad) {
+    WireResponse response;
+    ASSERT_TRUE(client
+                    .Call(OpenReplicatedRequest(bad.doc_id, bad.replicas,
+                                                OldDoc(0)),
+                          &response)
+                    .ok());
+    EXPECT_EQ(response.code(), Code::kInvalidArgument)
+        << "doc id \"" << bad.doc_id << "\" replicas " << bad.replicas
+        << ": " << response.payload;
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(store_dir));
+  size_t entries = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(parent.path)) {
+    (void)entry;
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);  // Only the store dir itself.
+
+  // The cap itself is accepted.
+  WireResponse response;
+  ASSERT_TRUE(client
+                  .Call(OpenReplicatedRequest("ok", kMaxReplicas, OldDoc(0)),
+                        &response)
+                  .ok());
+  EXPECT_TRUE(response.ok()) << response.payload;
+}
+
+TEST(NetServerTest, OpenReplicatedWithoutStoreDirIsRefused) {
+  ServerFixture fx;  // No store_dir.
+  SimpleClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", fx.server->port()).ok());
+  WireResponse response;
+  ASSERT_TRUE(
+      client.Call(OpenReplicatedRequest("doc", 3, OldDoc(0)), &response).ok());
+  EXPECT_EQ(response.code(), Code::kFailedPrecondition) << response.payload;
 }
 
 TEST(NetServerTest, MalformedFrameGetsErrorResponseStreamSurvives) {

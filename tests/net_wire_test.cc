@@ -84,22 +84,70 @@ TEST(WireTest, AllOpcodesRoundTrip) {
   metrics.request_id = 5;
   AppendRequest(metrics, &stream);
 
+  WireRequest status;
+  status.opcode = Opcode::kStatus;
+  status.request_id = 6;
+  AppendRequest(status, &stream);
+
+  WireRequest open_replicated;
+  open_replicated.opcode = Opcode::kOpenReplicated;
+  open_replicated.format = kFormatXml;
+  open_replicated.request_id = 7;
+  open_replicated.doc_id = "doc-7";
+  open_replicated.old_doc = "<doc><p>base</p></doc>";
+  open_replicated.replicas = 3;
+  AppendRequest(open_replicated, &stream);
+
   decoder.Append(stream.data(), stream.size());
   WireRequest out;
   Status error = Status::Ok();
-  for (uint64_t id = 1; id <= 5; ++id) {
+  const Opcode expected[] = {Opcode::kPing,    Opcode::kVdiff,
+                             Opcode::kOpen,    Opcode::kCommit,
+                             Opcode::kMetrics, Opcode::kStatus,
+                             Opcode::kOpenReplicated};
+  for (uint64_t id = 1; id <= 7; ++id) {
     ASSERT_EQ(decoder.NextRequest(&out, &error), DecodeResult::kFrame)
         << "frame " << id;
     EXPECT_EQ(out.request_id, id);
-    if (id >= 2 && id <= 4) {
+    EXPECT_EQ(out.opcode, expected[id - 1]);
+    if ((id >= 2 && id <= 4) || id == 7) {
       EXPECT_EQ(out.doc_id, "doc-7");
+    } else {
+      EXPECT_EQ(out.doc_id, "");  // The output struct is reset per frame.
     }
     if (id == 2) {
       EXPECT_EQ(out.to_version, -1);
     }
+    if (id == 4) {
+      EXPECT_EQ(out.old_doc, commit.old_doc);
+    }
+    if (id == 7) {
+      EXPECT_EQ(out.format, kFormatXml);
+      EXPECT_EQ(out.old_doc, open_replicated.old_doc);
+      EXPECT_EQ(out.replicas, 3);
+    }
   }
   EXPECT_EQ(decoder.NextRequest(&out, &error), DecodeResult::kNeedMore);
-  EXPECT_EQ(out.doc_id, "");  // The output struct is reset per frame.
+
+  EXPECT_FALSE(ValidOpcode(0));
+  EXPECT_TRUE(ValidOpcode(static_cast<uint8_t>(Opcode::kStatus)));
+  EXPECT_TRUE(ValidOpcode(static_cast<uint8_t>(Opcode::kOpenReplicated)));
+  EXPECT_FALSE(ValidOpcode(static_cast<uint8_t>(Opcode::kOpenReplicated) + 1));
+}
+
+TEST(WireTest, StatusResponseRoundTrip) {
+  WireResponse in;
+  in.opcode = Opcode::kStatus;
+  in.request_id = 8;
+  in.payload = "PRUNE subtrees=0 nodes=0\nstore=doc versions=1 durable=0\n";
+  const std::string bytes = EncodeResponse(in);
+  FrameDecoder decoder;
+  decoder.Append(bytes.data(), bytes.size());
+  WireResponse out;
+  Status error = Status::Ok();
+  ASSERT_EQ(decoder.NextResponse(&out, &error), DecodeResult::kFrame);
+  EXPECT_EQ(out.opcode, Opcode::kStatus);
+  EXPECT_EQ(out.payload, in.payload);
 }
 
 TEST(WireTest, ByteAtATimeDelivery) {

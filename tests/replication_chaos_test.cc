@@ -23,9 +23,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,12 +121,26 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
   std::map<int, std::string> acked;
   acked[0] = DocText(0);
   std::atomic<uint64_t> fenced{0};
-  std::atomic<bool> writer_done{false};
+
+  // The promoter fires on the writer's progress, not on a wall-clock
+  // sleep: promotion k waits for the writer's trigger[k]-th quorum ack.
+  // At the first trigger the writer also waits for that promotion to
+  // finish, so the lease it holds is stale and its next commit must bounce
+  // off the fence on every seed; the second promotion races the writer's
+  // in-flight commits.
+  const int promotions = seed % 3 == 0 ? 1 : 2;
+  const int trigger[2] = {2 + static_cast<int>(seed % 5),
+                          9 + static_cast<int>(seed % 7)};
+  std::mutex progress_mu;
+  std::condition_variable progress_cv;
+  int acks = 0;
+  int promotions_done = 0;
+  bool writer_done = false;
 
   // The writer holds its lease across commits — exactly the deposed-primary
   // pattern: a promotion mid-stream makes the next CommitWithLease bounce
   // off the fence, and the writer re-leases under the new epoch.
-  std::thread writer([&] {
+  auto write_all = [&] {
     CommitLease lease = group->lease();
     for (int n = 1; n <= kWriterCommits; ++n) {
       const std::string doc = DocText(n);
@@ -134,6 +150,12 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
         auto committed = group->CommitWithLease(*tree, lease);
         if (committed.ok()) {
           acked[*committed] = doc;  // Quorum-acked: must survive anything.
+          std::unique_lock<std::mutex> lock(progress_mu);
+          ++acks;
+          progress_cv.notify_all();
+          if (acks == trigger[0]) {
+            progress_cv.wait(lock, [&] { return promotions_done >= 1; });
+          }
           break;
         }
         const Status& status = committed.status();
@@ -154,7 +176,12 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
         lease = group->lease();
       }
     }
-    writer_done.store(true, std::memory_order_release);
+  };
+  std::thread writer([&] {
+    write_all();
+    std::lock_guard<std::mutex> lock(progress_mu);
+    writer_done = true;
+    progress_cv.notify_all();
   });
 
   // Readers hammer Materialize across the version range while the topology
@@ -176,17 +203,22 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
   // The promoter kills the primary mid-traffic: an explicit fenced
   // failover (most-caught-up follower wins, epoch bumps), then the deposed
   // machine rejoins as a follower. Twice, on seeds that promote.
-  const int promotions = seed % 3 == 0 ? 1 : 2;
   std::thread promoter([&] {
     for (int k = 0; k < promotions; ++k) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(3 + 5 * k + static_cast<int>(seed % 7)));
-      if (writer_done.load(std::memory_order_acquire)) break;
+      {
+        std::unique_lock<std::mutex> lock(progress_mu);
+        progress_cv.wait(lock,
+                         [&] { return writer_done || acks >= trigger[k]; });
+        if (writer_done) break;
+      }
       const int old_primary = group->primary_index();
       auto promoted = group->Promote();
       if (promoted.ok()) {
         group->Rejoin(old_primary).IgnoreError();
       }
+      std::lock_guard<std::mutex> lock(progress_mu);
+      ++promotions_done;
+      progress_cv.notify_all();
     }
   });
 

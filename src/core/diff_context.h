@@ -135,10 +135,9 @@ struct DiffOptions {
   /// A phase-1 matching to reuse verbatim: the matcher ladder is skipped
   /// and script generation runs directly on a copy of this matching. The
   /// caller asserts it was produced by DiffTrees over these same two trees
-  /// (same node-id spaces) — the DiffService's matching cache replays a
-  /// prior run's matching when the same (fingerprint1, fingerprint2) pair
-  /// is served again, making the re-diff byte-identical by construction.
-  /// Must outlive the call. Ignored when null.
+  /// (same node-id spaces); the re-diff is then byte-identical by
+  /// construction (tests/prune_identity_test.cc checks it). Must outlive
+  /// the call. Ignored when null.
   const Matching* reuse_matching = nullptr;
 };
 

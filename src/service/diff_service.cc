@@ -7,6 +7,7 @@
 #include "core/script_io.h"
 #include "doc/xml.h"
 #include "tree/builder.h"
+#include "util/io.h"
 
 namespace treediff {
 
@@ -37,6 +38,11 @@ bool CountsTowardBreaker(const Status& status) {
     default:
       return true;
   }
+}
+
+Status AlreadyAttached(const std::string& doc_id) {
+  return Status::FailedPrecondition("doc_id \"" + doc_id +
+                                    "\" already attached");
 }
 
 }  // namespace
@@ -298,33 +304,32 @@ DiffResponse DiffService::SubmitSync(DiffRequest request) {
   return Submit(std::move(request)).get();
 }
 
-std::shared_ptr<const DiffService::MatchingCacheEntry>
-DiffService::LookupMatching(uint64_t key_old, uint64_t key_new,
-                            DiffRung rung) {
-  MutexLock lock(&match_cache_mu_);
-  for (auto it = match_cache_.begin(); it != match_cache_.end(); ++it) {
+std::shared_ptr<const DiffService::CachedResult> DiffService::LookupResult(
+    uint64_t key_old, uint64_t key_new, DiffRung rung) {
+  MutexLock lock(&result_cache_mu_);
+  for (auto it = result_cache_.begin(); it != result_cache_.end(); ++it) {
     if (it->key_old == key_old && it->key_new == key_new &&
         it->rung == rung) {
-      match_cache_.splice(match_cache_.begin(), match_cache_, it);
-      return match_cache_.front().entry;
+      result_cache_.splice(result_cache_.begin(), result_cache_, it);
+      return result_cache_.front().result;
     }
   }
   return nullptr;
 }
 
-void DiffService::StoreMatching(
-    uint64_t key_old, uint64_t key_new, DiffRung rung,
-    std::shared_ptr<const MatchingCacheEntry> entry) {
-  MutexLock lock(&match_cache_mu_);
-  for (const MatchingCacheSlot& slot : match_cache_) {
+void DiffService::StoreResult(uint64_t key_old, uint64_t key_new,
+                              DiffRung rung,
+                              std::shared_ptr<const CachedResult> result) {
+  MutexLock lock(&result_cache_mu_);
+  for (const ResultCacheSlot& slot : result_cache_) {
     if (slot.key_old == key_old && slot.key_new == key_new &&
         slot.rung == rung) {
-      return;  // A concurrent request published the same matching first.
+      return;  // A concurrent request published the same result first.
     }
   }
-  match_cache_.push_front({key_old, key_new, rung, std::move(entry)});
+  result_cache_.push_front({key_old, key_new, rung, std::move(result)});
   const size_t cap = std::max<size_t>(options_.matching_cache_entries, 1);
-  while (match_cache_.size() > cap) match_cache_.pop_back();
+  while (result_cache_.size() > cap) result_cache_.pop_back();
 }
 
 bool DiffService::ServeFromChainLog(const DiffRequest& request,
@@ -447,35 +452,38 @@ DiffResponse DiffService::Process(const DiffRequest& request,
   const CachedTree& old_cached = **old_entry;
   const CachedTree& new_cached = **new_entry;
 
+  DiffRung start_rung = request.start_rung;
+  if (shed_degraded) {
+    start_rung = LowerRung(start_rung, options_.degraded_start_rung);
+  }
+
+  // Result reuse: only for unbudgeted requests (a budget can stop the
+  // pipeline anywhere, so only a full, deterministic run is cacheable),
+  // keyed by the content fingerprints of both trees plus the effective
+  // starting rung. An unbudgeted run never steps down the ladder, so the
+  // answer's rung is the starting rung.
+  const bool cacheable = options_.incremental && !budgeted;
+  if (cacheable) {
+    if (std::shared_ptr<const CachedResult> hit =
+            LookupResult(old_cached.key, new_cached.key, start_rung)) {
+      match_cache_hits_->Increment();
+      response.matching_cache_hit = true;
+      response.rung = start_rung;
+      response.operations = hit->operations;
+      if (request.want_script_text) response.script = hit->script;
+      rung_counters_[static_cast<int>(response.rung)]->Increment();
+      return finish(std::move(response));
+    }
+    match_cache_misses_->Increment();
+  }
+
   DiffOptions diff = options_.diff;
   diff.budget = budgeted ? &budget : nullptr;
   diff.index1 = &old_cached.index;
   diff.index2 = &new_cached.index;
-  diff.start_rung = request.start_rung;
-  if (shed_degraded) {
-    diff.start_rung =
-        LowerRung(diff.start_rung, options_.degraded_start_rung);
-  }
+  diff.start_rung = start_rung;
   if (options_.incremental && diff.share_mode == ShareMode::kOff) {
     diff.share_mode = ShareMode::kIndexed;
-  }
-
-  // Matching reuse: only for unbudgeted requests (a budget can stop phase 1
-  // anywhere, so only a full, deterministic phase-1 product is cacheable)
-  // and keyed by the content fingerprints of both trees plus the effective
-  // starting rung. The cached matching pins its tree entries, so the node
-  // ids it holds stay valid.
-  std::shared_ptr<const MatchingCacheEntry> reused;
-  const bool cacheable = options_.incremental && !budgeted;
-  if (cacheable) {
-    reused = LookupMatching(old_cached.key, new_cached.key, diff.start_rung);
-    if (reused != nullptr) {
-      diff.reuse_matching = &reused->matching;
-      response.matching_cache_hit = true;
-      match_cache_hits_->Increment();
-    } else {
-      match_cache_misses_->Increment();
-    }
   }
 
   StatusOr<DiffResult> result =
@@ -485,11 +493,6 @@ DiffResponse DiffService::Process(const DiffRequest& request,
     return finish(std::move(response));
   }
 
-  if (cacheable && reused == nullptr && !result->report.degraded) {
-    StoreMatching(old_cached.key, new_cached.key, diff.start_rung,
-                  std::make_shared<MatchingCacheEntry>(
-                      *old_entry, *new_entry, result->matching));
-  }
   response.pruned_subtrees = result->report.prune_settled_subtrees;
   response.pruned_nodes = result->report.prune_settled_nodes;
   prune_subtrees_->Increment(result->report.prune_settled_subtrees);
@@ -504,9 +507,19 @@ DiffResponse DiffService::Process(const DiffRequest& request,
   match_h_->Observe(response.match_seconds);
   gen_h_->Observe(response.gen_seconds);
   rung_counters_[static_cast<int>(response.rung)]->Increment();
-  if (request.want_script_text) {
-    response.script =
+
+  // A cacheable run formats its script even when this request does not
+  // want the text: a later request for the same pair may.
+  const bool store = cacheable && !response.degraded;
+  if (request.want_script_text || store) {
+    std::string text =
         FormatEditScript(result->script, old_cached.tree.labels());
+    if (store) {
+      StoreResult(old_cached.key, new_cached.key, start_rung,
+                  std::make_shared<const CachedResult>(
+                      CachedResult{text, response.operations}));
+    }
+    if (request.want_script_text) response.script = std::move(text);
   }
   return finish(std::move(response));
 }
@@ -594,8 +607,7 @@ Status DiffService::AttachStore(const std::string& doc_id,
   WriterMutexLock lock(&stores_mu_);
   auto [it, inserted] = stores_.emplace(doc_id, nullptr);
   if (!inserted) {
-    return Status::FailedPrecondition("doc_id \"" + doc_id +
-                                      "\" already attached");
+    return AlreadyAttached(doc_id);
   }
   it->second = std::make_unique<StoreEntry>();
   it->second->store = store;
@@ -612,8 +624,7 @@ Status DiffService::CreateStore(const std::string& doc_id,
   WriterMutexLock lock(&stores_mu_);
   auto [it, inserted] = stores_.emplace(doc_id, nullptr);
   if (!inserted) {
-    return Status::FailedPrecondition("doc_id \"" + doc_id +
-                                      "\" already attached");
+    return AlreadyAttached(doc_id);
   }
   it->second = std::make_unique<StoreEntry>();
   it->second->store = owned.get();
@@ -667,8 +678,7 @@ Status DiffService::AttachReplicatedStore(
   WriterMutexLock lock(&stores_mu_);
   auto [it, inserted] = stores_.emplace(doc_id, nullptr);
   if (!inserted) {
-    return Status::FailedPrecondition("doc_id \"" + doc_id +
-                                      "\" already attached");
+    return AlreadyAttached(doc_id);
   }
   it->second = std::move(entry);
   return Status::Ok();
@@ -679,8 +689,18 @@ Status DiffService::CreateReplicatedStore(const std::string& doc_id,
                                           std::vector<ReplicaConfig> replicas,
                                           AckMode ack_mode,
                                           DiffRequest::Format format) {
+  // Refuse an attached id before Create writes the primary's log: a log
+  // left behind would make every later create of this id fail.
+  if (FindStore(doc_id) != nullptr) return AlreadyAttached(doc_id);
   StatusOr<Tree> base = ParseDoc(base_doc, format);
   if (!base.ok()) return base.status();
+  // The logs this call creates, in case a concurrent attach of the same id
+  // wins the race below.
+  std::vector<std::pair<Env*, std::string>> created;
+  for (const ReplicaConfig& replica : replicas) {
+    Env* env = replica.env != nullptr ? replica.env : Env::Default();
+    if (!env->FileExists(replica.path)) created.emplace_back(env, replica.path);
+  }
   ReplicationOptions repl;
   repl.ack_mode = ack_mode;
   repl.metrics = &metrics_;
@@ -689,9 +709,16 @@ Status DiffService::CreateReplicatedStore(const std::string& doc_id,
   auto group = ReplicatedVersionStore::Create(
       std::move(replicas), std::move(base).value(), options_.diff, repl);
   if (!group.ok()) return group.status();
-  return AttachReplicatedStore(doc_id,
-                               std::shared_ptr<ReplicatedVersionStore>(
-                                   std::move(*group)));
+  const Status attached = AttachReplicatedStore(
+      doc_id, std::shared_ptr<ReplicatedVersionStore>(std::move(*group)));
+  if (!attached.ok()) {
+    // The refused group is destroyed (its shipper joined), so no thread
+    // writes these logs any more.
+    for (const auto& [env, path] : created) {
+      if (env->FileExists(path)) env->DeleteFile(path).IgnoreError();
+    }
+  }
+  return attached;
 }
 
 }  // namespace treediff

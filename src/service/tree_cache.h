@@ -41,10 +41,10 @@ struct CachedTree {
 /// handed out as shared_ptr<const CachedTree>, so eviction never invalidates
 /// a request that is still diffing against the entry.
 ///
-/// Keys are 64-bit content fingerprints (FNV-1a of the document text folded
-/// with its CRC-32C — two independent hashes). Distinct documents collide
-/// with probability ~2^-64, which the service accepts, as content-addressed
-/// stores do.
+/// Keys are 64-bit content fingerprints: HashValueBytes of the document
+/// text (a 64-bit multiply-fold hash) folded with its CRC-32C, two
+/// independent hashes. Distinct documents collide with probability ~2^-64,
+/// which the service accepts, as content-addressed stores do.
 class TreeCache {
  public:
   struct Options {

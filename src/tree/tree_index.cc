@@ -1,6 +1,7 @@
 #include "tree/tree_index.h"
 
 #include <cassert>
+#include <cstring>
 #include <utility>
 
 namespace treediff {
@@ -19,16 +20,43 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
+/// The 128-bit product of `a` and `b`, its halves folded by xor.
+inline uint64_t MulFold(uint64_t a, uint64_t b) {
+  const unsigned __int128 r = static_cast<unsigned __int128>(a) * b;
+  return static_cast<uint64_t>(r) ^ static_cast<uint64_t>(r >> 64);
+}
+
+inline uint64_t Load64(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
 }  // namespace
 
 uint64_t HashValueBytes(std::string_view bytes) {
-  // 64-bit FNV-1a.
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
+  // wyhash-style: 16 input bytes per 64x64->128 multiply, the two product
+  // halves folded by xor. The length seeds the state, so zero padding of
+  // the tail cannot make "a" and "a\0" collide.
+  constexpr uint64_t kP0 = 0xa0761d6478bd642fULL;
+  constexpr uint64_t kP1 = 0xe7037ed1a0b428dbULL;
+  constexpr uint64_t kP2 = 0x8ebc6af09c88c6e3ULL;
+  const char* p = bytes.data();
+  size_t n = bytes.size();
+  uint64_t h = MulFold(bytes.size() ^ kP0, kP1);
+  for (; n > 16; n -= 16, p += 16) {
+    h = MulFold(Load64(p) ^ kP1, Load64(p + 8) ^ h);
   }
-  return h;
+  // The last 0..16 bytes, zero-padded.
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  if (n > 8) {
+    lo = Load64(p);
+    std::memcpy(&hi, p + 8, n - 8);
+  } else if (n > 0) {
+    std::memcpy(&lo, p, n);
+  }
+  return MulFold(MulFold(lo ^ kP1, hi ^ h) ^ kP2, bytes.size() ^ kP0);
 }
 
 uint64_t NodeValueHash(const Tree& t, NodeId x) {

@@ -10,8 +10,9 @@
 
 namespace treediff {
 
-/// Hash of a value string (64-bit FNV-1a). This is the one hash function the
-/// whole pipeline keys on: TreeIndex::ValueHash precomputes it per node, the
+/// Hash of a value string: 64-bit, wyhash-style (16 bytes per multiply
+/// step, length folded in). This is the one hash function the whole
+/// pipeline keys on: TreeIndex::ValueHash precomputes it per node, the
 /// comparators key their caches on it, and the structural matcher folds it
 /// into subtree fingerprints. Deterministic across processes (unlike
 /// std::hash), so hashes are comparable between indexed and unindexed trees.

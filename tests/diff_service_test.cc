@@ -1,9 +1,11 @@
 #include "service/diff_service.h"
 
 #include "tree/builder.h"
+#include "util/fault_env.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <future>
 #include <string>
 #include <vector>
@@ -248,6 +250,40 @@ TEST(DiffServiceTest, ShutdownDrainsAndAnswersEveryFuture) {
     EXPECT_TRUE(r.status.ok() ||
                 r.status.code() == Code::kResourceExhausted);
   }
+}
+
+/// A MemEnv that runs `hook` once, just before the first file is opened
+/// for writing.
+class HookOnFirstWriteEnv : public MemEnv {
+ public:
+  std::function<void()> hook;
+
+  StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path, bool truncate) override {
+    if (hook) {
+      std::function<void()> run = std::move(hook);
+      hook = nullptr;
+      run();
+    }
+    return MemEnv::NewWritableFile(path, truncate);
+  }
+};
+
+TEST(DiffServiceTest, CreateReplicatedStoreRemovesItsLogsWhenAttachLoses) {
+  // The id is free when CreateReplicatedStore checks it, and taken by a
+  // concurrent plain CreateStore before the group is attached: the call
+  // must answer "already attached" and remove the logs it wrote.
+  DiffService service(Options(1));
+  HookOnFirstWriteEnv env;
+  env.hook = [&] { ASSERT_TRUE(service.CreateStore("doc", kOld).ok()); };
+  std::vector<ReplicaConfig> replicas(2);
+  replicas[0] = ReplicaConfig{&env, "doc.r0.log"};
+  replicas[1] = ReplicaConfig{&env, "doc.r1.log"};
+  const Status status =
+      service.CreateReplicatedStore("doc", kOld, std::move(replicas));
+  EXPECT_EQ(status.code(), Code::kFailedPrecondition) << status.ToString();
+  EXPECT_EQ(env.hook, nullptr);  // The race really was run.
+  EXPECT_TRUE(env.ListFiles().empty());
 }
 
 }  // namespace

@@ -271,6 +271,36 @@ TEST(NetServerTest, OpenReplicatedRejectsUnsafeRequestsBeforeTouchingFiles) {
   EXPECT_TRUE(response.ok()) << response.payload;
 }
 
+TEST(NetServerTest, OpenReplicatedOfAnAttachedIdLeavesNoLogBehind) {
+  TempDir store_dir;
+  NetServerOptions net_options;
+  net_options.store_dir = store_dir.path;
+  ServerFixture fx(net_options);
+  SimpleClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", fx.server->port()).ok());
+
+  WireResponse response;
+  ASSERT_TRUE(client.Open("doc", OldDoc(0), kFormatSexpr, &response).ok());
+  ASSERT_TRUE(response.ok()) << response.payload;
+  // Twice: a log left behind by the first refusal would turn the second
+  // into "store already exists".
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    ASSERT_TRUE(
+        client.Call(OpenReplicatedRequest("doc", 3, OldDoc(0)), &response)
+            .ok());
+    EXPECT_EQ(response.code(), Code::kFailedPrecondition) << response.payload;
+    EXPECT_NE(response.payload.find("already attached"), std::string::npos)
+        << response.payload;
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(store_dir.path));
+
+  ASSERT_TRUE(
+      client.Call(OpenReplicatedRequest("fresh", 3, OldDoc(0)), &response)
+          .ok());
+  EXPECT_TRUE(response.ok()) << response.payload;
+  EXPECT_TRUE(std::filesystem::exists(store_dir.path + "/fresh.r0.log"));
+}
+
 TEST(NetServerTest, OpenReplicatedWithoutStoreDirIsRefused) {
   ServerFixture fx;  // No store_dir.
   SimpleClient client;

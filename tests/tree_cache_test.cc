@@ -5,10 +5,13 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "tree/builder.h"
+#include "util/random.h"
 
 namespace treediff {
 namespace {
@@ -99,6 +102,43 @@ TEST(TreeCacheTest, FingerprintsSeparateFormatsAndContents) {
             TreeCache::FingerprintVersion("doc", 2));
   EXPECT_NE(TreeCache::FingerprintVersion("doc", 1),
             TreeCache::FingerprintVersion("cod", 1));
+}
+
+TEST(TreeCacheTest, FingerprintIndependentOfBufferAlignment) {
+  Rng rng(9);
+  std::string pool(64 + 8, '\0');
+  for (char& c : pool) c = static_cast<char>(rng.Uniform(256));
+  for (size_t len = 0; len <= 64; ++len) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const std::string_view view(pool.data() + offset, len);
+      const std::string aligned(view);
+      EXPECT_EQ(TreeCache::FingerprintText("sexpr", view),
+                TreeCache::FingerprintText("sexpr", aligned))
+          << "len " << len << " offset " << offset;
+    }
+  }
+}
+
+TEST(TreeCacheTest, FingerprintsOfShortTextsAndRandomTextsDiffer) {
+  std::unordered_set<uint64_t> shorts;
+  for (std::string_view text :
+       {std::string_view("", 0), std::string_view("\0", 1),
+        std::string_view("a", 1), std::string_view("a\0", 2)}) {
+    shorts.insert(TreeCache::FingerprintText("sexpr", text));
+  }
+  EXPECT_EQ(shorts.size(), 4u);
+
+  Rng rng(4096);
+  std::unordered_set<std::string> texts;
+  std::unordered_set<uint64_t> fingerprints;
+  while (texts.size() < 100000) {
+    std::string s(static_cast<size_t>(rng.Uniform(48)), '\0');
+    for (char& c : s) c = static_cast<char>(rng.Uniform(256));
+    if (texts.insert(s).second) {
+      fingerprints.insert(TreeCache::FingerprintText("sexpr", s));
+    }
+  }
+  EXPECT_EQ(fingerprints.size(), texts.size());
 }
 
 TEST(TreeCacheTest, ConcurrentInsertAndLookupConverge) {

@@ -5,10 +5,14 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "tree/builder.h"
 #include "tree/tree.h"
+#include "util/random.h"
 
 namespace treediff {
 namespace {
@@ -171,6 +175,46 @@ TEST(TreeIndexTest, SingleNodeTree) {
   EXPECT_EQ(index.PreOrder(), std::vector<NodeId>{t.root()});
   EXPECT_EQ(index.Leaves(), std::vector<NodeId>{t.root()});
   EXPECT_TRUE(index.Contains(t.root(), t.root()));
+}
+
+TEST(HashValueBytesTest, IndependentOfBufferAlignment) {
+  // Bytes at every offset of a buffer hash as their aligned copy does: the
+  // word loads must not depend on where the bytes sit.
+  Rng rng(7);
+  std::string pool(64 + 8, '\0');
+  for (char& c : pool) c = static_cast<char>(rng.Uniform(256));
+  for (size_t len = 0; len <= 64; ++len) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const std::string_view view(pool.data() + offset, len);
+      const std::string aligned(view);  // Fresh, allocator-aligned copy.
+      EXPECT_EQ(HashValueBytes(view), HashValueBytes(aligned))
+          << "len " << len << " offset " << offset;
+    }
+  }
+}
+
+TEST(HashValueBytesTest, ZeroPaddingDoesNotCollide) {
+  // The tail is zero-padded, so only the folded-in length tells these
+  // apart.
+  const std::string_view kInputs[] = {std::string_view("", 0),
+                                      std::string_view("\0", 1),
+                                      std::string_view("a", 1),
+                                      std::string_view("a\0", 2)};
+  std::unordered_set<uint64_t> hashes;
+  for (std::string_view input : kInputs) hashes.insert(HashValueBytes(input));
+  EXPECT_EQ(hashes.size(), 4u);
+}
+
+TEST(HashValueBytesTest, NoCollisionsAcrossRandomStrings) {
+  Rng rng(2024);
+  std::unordered_set<std::string> inputs;
+  std::unordered_set<uint64_t> hashes;
+  while (inputs.size() < 100000) {
+    std::string s(static_cast<size_t>(rng.Uniform(48)), '\0');
+    for (char& c : s) c = static_cast<char>(rng.Uniform(256));
+    if (inputs.insert(s).second) hashes.insert(HashValueBytes(s));
+  }
+  EXPECT_EQ(hashes.size(), inputs.size());
 }
 
 }  // namespace

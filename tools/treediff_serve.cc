@@ -19,7 +19,7 @@
 // --port and --metrics-port default to 0 (an ephemeral port).
 // --incremental (default on) turns on incremental serving: the share-map
 // pre-pass prunes unchanged subtrees out of every diff, repeated diffs of
-// the same document pair reuse the cached phase-1 matching, and adjacent
+// the same document pair are answered from the result cache, and adjacent
 // version diffs are answered straight from the store's commit log.
 // --store-dir is where the open-replicated opcode places replica logs
 // (<dir>/<doc_id>.r<i>.log); without it that opcode is refused.

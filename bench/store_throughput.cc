@@ -4,6 +4,9 @@
 // with VersionStore::Open. The store runs against the real POSIX Env — the
 // fault-injection machinery lives in a test-only library and is not linked
 // here, so these numbers are the release path.
+//
+// Exits 1 unless every reopened version materializes isomorphic to the
+// snapshot that was committed as that version (CI runs it as a smoke test).
 
 #include <chrono>
 #include <cstdio>
@@ -51,6 +54,8 @@ int main() {
       store_options.checkpoint_interval = checkpoint_interval;
 
       const int kCommits = 64;
+      std::vector<Tree> snapshots;
+      snapshots.push_back(base.Clone());
       Tree current = base.Clone();
       auto t0 = Clock::now();
       auto store =
@@ -67,6 +72,7 @@ int main() {
           std::printf("Commit failed: %s\n", v.status().ToString().c_str());
           return 1;
         }
+        snapshots.push_back(next.new_tree.Clone());
         current = std::move(next.new_tree);
       }
       auto t1 = Clock::now();
@@ -78,9 +84,10 @@ int main() {
       // Recovery: average of a few reopens (the log is cold only once).
       RecoveryReport report;
       const int kReopens = 5;
+      StatusOr<VersionStore> reopened = Status::Internal("never opened");
       auto t2 = Clock::now();
       for (int i = 0; i < kReopens; ++i) {
-        auto reopened = VersionStore::Open(path, {}, store_options, &report);
+        reopened = VersionStore::Open(path, {}, store_options, &report);
         if (!reopened.ok()) {
           std::printf("Open failed: %s\n",
                       reopened.status().ToString().c_str());
@@ -96,6 +103,19 @@ int main() {
       const double recover_ms =
           std::chrono::duration<double, std::milli>(t3 - t2).count() /
           kReopens;
+
+      // Untimed: what was recovered must be what was committed.
+      for (int v = 0; v <= kCommits; ++v) {
+        StatusOr<Tree> tree = reopened->Materialize(v);
+        if (!tree.ok() ||
+            !Tree::Isomorphic(*tree, snapshots[static_cast<size_t>(v)])) {
+          std::printf("recovered version %d differs from its commit: %s\n",
+                      v,
+                      tree.ok() ? "not isomorphic"
+                                : tree.status().ToString().c_str());
+          return 1;
+        }
+      }
 
       char commit_rate[32], log_kib[32], rec[32];
       std::snprintf(commit_rate, sizeof commit_rate, "%.0f",

@@ -95,6 +95,7 @@ DiffService::DiffService(DiffServiceOptions options)
   match_h_ = metrics_.histogram("diff_match_seconds");
   gen_h_ = metrics_.histogram("diff_gen_seconds");
   e2e_h_ = metrics_.histogram("diff_e2e_seconds");
+  commit_h_ = metrics_.histogram("store_commit_seconds");
 
   if (options_.scrub_interval_seconds > 0.0) {
     scrubber_ = std::thread([this] { ScrubLoop(); });
@@ -641,6 +642,7 @@ StatusOr<int> DiffService::CommitVersion(const std::string& doc_id,
                             "\"");
   }
   int version = -1;
+  const Clock::time_point started = Clock::now();
   const Status status = GuardedStoreOp(entry, [&](VersionStore* store) {
     // Commits must use the store's label table, which for attached stores
     // is not the service's inline table. Re-parsing on a retry is safe:
@@ -659,6 +661,7 @@ StatusOr<int> DiffService::CommitVersion(const std::string& doc_id,
     version = *committed;
     return Status::Ok();
   });
+  commit_h_->Observe(Seconds(Clock::now() - started));
   if (!status.ok()) return status;
   return version;
 }

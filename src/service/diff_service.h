@@ -135,7 +135,8 @@ struct DiffServiceOptions {
   /// stored-mode request for adjacent versions (from = to - 1) is answered
   /// straight from the version store's commit log — the stored delta *is*
   /// the authoritative diff (Materialize replays it). Off by default: the
-  /// service then behaves byte-identically to the plain pipeline.
+  /// service then behaves byte-identically to the plain pipeline. Commits
+  /// run the pre-pass either way (VersionStore::Commit).
   bool incremental = false;
 
   /// Capacity of the (old fingerprint, new fingerprint, rung)-keyed result
@@ -240,7 +241,8 @@ class DiffService {
       EXCLUDES(stores_mu_);
 
   /// Commits a new version to a store created with CreateStore or attached
-  /// with AttachStore. Returns the new version number.
+  /// with AttachStore. Returns the new version number. Every call, failed
+  /// or not, is timed into the `store_commit_seconds` histogram.
   StatusOr<int> CommitVersion(
       const std::string& doc_id, const std::string& doc,
       DiffRequest::Format format = DiffRequest::Format::kSexpr)
@@ -428,6 +430,7 @@ class DiffService {
   Histogram* match_h_ = nullptr;
   Histogram* gen_h_ = nullptr;
   Histogram* e2e_h_ = nullptr;
+  Histogram* commit_h_ = nullptr;  // Every CommitVersion call.
 };
 
 }  // namespace treediff

@@ -194,7 +194,15 @@ StatusOr<int> VersionStore::Commit(const Tree& new_version) {
     return Status::InvalidArgument(
         "committed versions must share the store's LabelTable");
   }
-  StatusOr<DiffResult> diff = DiffTrees(head_, new_version, options_);
+  // Every commit runs the share-map pre-pass, whatever mode the store was
+  // built with: a version shares all but ~1 % of its subtrees with the
+  // head, so matching shrinks to the changed frontier. The rule lives here
+  // (not in the caller's options) so every store that replays the same
+  // commits — durable, replicated, or an in-memory mirror — stores the same
+  // script even where duplicate subtrees let FastMatch pair them otherwise.
+  DiffOptions options = options_;
+  options.share_mode = ShareMode::kIndexed;
+  StatusOr<DiffResult> diff = DiffTrees(head_, new_version, options);
   if (!diff.ok()) return diff.status();
 
   // Apply the delta to the head; the head's id space (not the snapshot's)

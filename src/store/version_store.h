@@ -119,10 +119,14 @@ struct ScrubReport {
 ///
 /// The store keeps the base version in full and each subsequent version as
 /// the minimum-cost edit script against its predecessor (computed with the
-/// paper's pipeline). Any version can be materialized by replaying the
-/// script chain; scripts address nodes by the deterministic ids the replay
-/// itself produces, so materialization is exact (isomorphic to the
-/// committed snapshot).
+/// paper's pipeline). Every commit diffs with the share-map pre-pass
+/// (ShareMode::kIndexed, whatever DiffOptions::share_mode says): identical
+/// subtrees are settled wholesale first, so a version that edits ~1 % of
+/// the leaves costs matching on the changed frontier, not on the whole
+/// tree, and any two stores fed the same commits store the same scripts.
+/// Any version can be materialized by replaying the script chain; scripts
+/// address nodes by the deterministic ids the replay itself produces, so
+/// materialization is exact (isomorphic to the committed snapshot).
 ///
 /// Two modes:
 ///  * **In-memory** (the constructor): nothing touches disk.
@@ -163,7 +167,9 @@ struct ScrubReport {
 /// use is (as for any type) undefined.
 class VersionStore {
  public:
-  /// Creates an in-memory store whose version 0 is `base`.
+  /// Creates an in-memory store whose version 0 is `base`. `options`
+  /// configure every commit's DiffTrees run except `share_mode`: commits
+  /// always run the share-map pre-pass (kIndexed).
   explicit VersionStore(Tree base, DiffOptions options = {});
 
   // The store owns a log writer in durable mode; it moves but does not
@@ -178,7 +184,8 @@ class VersionStore {
   /// Creates a durable store at `path` (a single log file) with version 0 =
   /// `base`. The file is built as `path + ".tmp"`, synced, and atomically
   /// renamed into place, so a crash mid-create leaves no half-written
-  /// store at `path`. Fails if `path` already exists.
+  /// store at `path`. Fails if `path` already exists. `options` are used
+  /// as in the constructor (commits always run the share-map pre-pass).
   static StatusOr<VersionStore> Create(const std::string& path, Tree base,
                                        DiffOptions options = {},
                                        StoreOptions store_options = {});

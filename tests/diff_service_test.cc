@@ -236,6 +236,18 @@ TEST(DiffServiceTest, MetricsAccumulateAcrossRequests) {
   EXPECT_NE(text.find("\ntree_cache_hits_total 8\n"), std::string::npos);
 }
 
+TEST(DiffServiceTest, EveryCommitIsTimed) {
+  DiffService service(Options(2));
+  ASSERT_TRUE(service.CreateStore("doc", kOld).ok());
+  ASSERT_TRUE(service.CommitVersion("doc", kNew).ok());
+  ASSERT_TRUE(service.CommitVersion("doc", kOld).ok());
+  const std::string text = service.metrics().PrometheusExposition();
+  EXPECT_NE(text.find("# TYPE store_commit_seconds histogram\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nstore_commit_seconds_count 2\n"), std::string::npos)
+      << text;
+}
+
 TEST(DiffServiceTest, ShutdownDrainsAndAnswersEveryFuture) {
   std::vector<std::future<DiffResponse>> futures;
   {

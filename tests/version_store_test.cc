@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "core/script_io.h"
 #include "gen/doc_gen.h"
 #include "gen/edit_sim.h"
 #include "tree/builder.h"
@@ -475,6 +476,77 @@ TEST(VersionStoreTest, DurableRoundTripOnPosixEnv) {
   ASSERT_TRUE(head.ok());
   EXPECT_TRUE(Tree::Isomorphic(*head, v1));
   fs::remove_all(dir);
+}
+
+TEST(VersionStoreTest, CommitDeltaIsThePrepassDiffForEveryShareMode) {
+  // A duplicate-heavy chain under a move-heavy mix: interchangeable
+  // duplicate sentences are where FastMatch alone (kOff) and the share-map
+  // pre-pass (kIndexed) pair nodes differently, so a store that honoured
+  // its own share mode would store a different script than one that runs
+  // the pre-pass.
+  auto labels = std::make_shared<LabelTable>();
+  Vocabulary vocab(300, 1.0);
+  Rng rng(17);
+  DocGenParams params;
+  params.sections = 4;
+  params.duplicate_sentence_probability = 0.3;
+  EditMix mix;
+  mix.update_sentence = 0.25;
+  mix.insert_sentence = 0.10;
+  mix.delete_sentence = 0.10;
+  mix.move_sentence = 0.25;
+  mix.move_paragraph = 0.15;
+  mix.insert_paragraph = 0.05;
+  mix.delete_paragraph = 0.05;
+  mix.move_section = 0.05;
+  Tree current = GenerateDocument(params, vocab, &rng, labels);
+
+  DiffOptions indexed;
+  indexed.share_mode = ShareMode::kIndexed;
+  DiffOptions off;
+  off.share_mode = ShareMode::kOff;
+  MemEnv env;
+  StoreOptions store_options;
+  store_options.env = &env;
+  VersionStore by_default(current.Clone(), DiffOptions{});
+  VersionStore by_indexed(current.Clone(), indexed);
+  auto durable =
+      VersionStore::Create("doc.log", current.Clone(), off, store_options);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  std::vector<VersionStore*> stores = {&by_default, &by_indexed, &*durable};
+
+  int off_differs = 0;
+  for (int v = 1; v <= 24; ++v) {
+    SimulatedVersion next =
+        SimulateNewVersion(current, 1 + v % 6, mix, vocab, &rng);
+    auto prev = by_default.Materialize(v - 1);
+    ASSERT_TRUE(prev.ok()) << prev.status().ToString();
+    auto expected = DiffTrees(*prev, next.new_tree, indexed);
+    auto legacy = DiffTrees(*prev, next.new_tree, off);
+    ASSERT_TRUE(expected.ok() && legacy.ok()) << "version " << v;
+    const std::string expected_text =
+        FormatEditScript(expected->script, *labels);
+    if (FormatEditScript(legacy->script, *labels) != expected_text) {
+      ++off_differs;
+    }
+    for (VersionStore* store : stores) {
+      auto committed = store->Commit(next.new_tree);
+      ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+      ASSERT_EQ(*committed, v);
+      const EditScript* delta = store->DeltaFor(v);
+      ASSERT_NE(delta, nullptr);
+      EXPECT_EQ(FormatEditScript(*delta, *labels), expected_text)
+          << "version " << v;
+      auto materialized = store->Materialize(v);
+      ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+      EXPECT_TRUE(Tree::Isomorphic(*materialized, next.new_tree))
+          << "version " << v;
+    }
+    current = std::move(next.new_tree);
+  }
+  // Without at least one such version the byte-identity above would hold
+  // for a store that diffed with kOff too.
+  EXPECT_GT(off_differs, 0);
 }
 
 }  // namespace
